@@ -94,8 +94,8 @@ impl RateScratch {
 /// busy threads or the partition changes.
 ///
 /// Thin allocating wrapper around [`compute_rates_into`]; hot callers
-/// (the node's event loop via [`crate::RateCache`]) keep a [`RateScratch`]
-/// and an output buffer alive instead.
+/// (the node's event loop, on a [`crate::RateCache`] miss) keep a
+/// [`RateScratch`] and an output buffer alive instead.
 pub fn compute_rates(
     machine: &MachineConfig,
     partition: &Partition,

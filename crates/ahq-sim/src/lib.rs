@@ -91,7 +91,9 @@ pub use contention::{
     compute_rates, compute_rates_into, AppDemand, AppRates, RateScratch, SharingPolicy,
 };
 pub use error::SimError;
-pub use node::{scan_next_event, NodeSim, OverheadModel, RateCache, ScanEvent, SimPerfStats};
+pub use node::{
+    scan_next_event, NodeSim, RateCache, ScanEvent, SimPerfStats, WARMUP_MS, WARMUP_PENALTY,
+};
 pub use observation::{BeWindowStats, LcWindowStats, WindowObservation};
 pub use partition::{MbaLevel, Partition, PartitionDimension, RegionAlloc};
 pub use quantile::{percentile, percentile_in_place, TailEstimator};

@@ -1,5 +1,4 @@
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use ahq_core::rng::{Exp, LogNormal, Rng};
 
@@ -17,28 +16,15 @@ use crate::resources::MachineConfig;
 use crate::time::SimTime;
 use crate::trace::LatencyHistogram;
 
-/// Costs charged when the scheduler repartitions resources: every
-/// application whose allocation changed runs with a degraded speed factor
-/// for a warm-up period (cache refill, thread migration, context switches).
+/// How long an application runs degraded after the scheduler changes its
+/// allocation (ms): cache refill, thread migration, context switches.
 ///
 /// This is what makes "ping-ponging" strategies visibly expensive in the
 /// simulation, mirroring the overhead discussion in §IV-D of the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheadModel {
-    /// How long the degradation lasts after a reallocation (ms).
-    pub warmup_ms: f64,
-    /// Speed multiplier applied during warm-up, in `(0, 1]`.
-    pub warmup_penalty: f64,
-}
+pub const WARMUP_MS: f64 = 50.0;
 
-impl Default for OverheadModel {
-    fn default() -> Self {
-        OverheadModel {
-            warmup_ms: 50.0,
-            warmup_penalty: 0.85,
-        }
-    }
-}
+/// Per-thread speed multiplier applied during the [`WARMUP_MS`] warm-up.
+pub const WARMUP_PENALTY: f64 = 0.85;
 
 /// One outstanding request of an LC application.
 #[derive(Debug, Clone, Copy)]
@@ -209,134 +195,66 @@ struct HotState {
 /// is preferred over the streaming ring estimate.
 const WINDOW_P95_MIN_SAMPLES: usize = 50;
 
-/// Entry cap of the [`RateCache`] maps — a defensive bound far above any
+/// Entry cap of the [`RateCache`] — a defensive bound far above any
 /// reachable key population (busy counts are bounded by per-application
-/// thread counts); the maps are dropped wholesale if it is ever hit.
+/// thread counts); the memo is dropped wholesale if it is ever hit.
 const RATE_CACHE_MAX_ENTRIES: usize = 1 << 16;
 
-/// The multiplier of the FxHash-style mixing step — the same constant the
-/// rustc hasher uses (a 64-bit truncation of π's digits).
+/// The multiplier of the memo's slot hash — the constant of rustc's Fx
+/// hash (a 64-bit truncation of π's digits).
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// A minimal FxHash-style hasher: one rotate-xor-multiply per word. Not
-/// collision-resistant against adversaries — which is fine for the rate
-/// cache, whose keys are tiny simulator-internal states — and an order of
-/// magnitude cheaper than the default SipHash on the per-event lookup.
-#[derive(Debug, Default, Clone)]
-struct FxHasher {
-    state: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_ne_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add(u64::from_ne_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A memoizing front-end to the fluid contention solver
-/// ([`compute_rates`]): between repartitions the busy-thread vector
-/// cycles through a handful of values, so almost every solver call can be
-/// answered by copying a previously computed rate vector.
+/// The node's memo of fluid contention rates: an open-addressed table
+/// from the packed `u64` key to each application's final per-thread
+/// speed (warm-up penalty included) and core capacity.
 ///
-/// The lookup key is the busy-thread count of every application combined
-/// with its warm-up-active flag, plus the sharing policy; the machine,
-/// partition, miss-ratio curves and bandwidth model are *not* part of the
-/// key — the owner must call [`RateCache::invalidate`] whenever any of
-/// those change (the node does so in `set_partition`/`set_policy`, which
-/// also advances the partition epoch).
+/// Between repartitions the busy-thread vector cycles through a handful
+/// of values, so almost every rate recomputation can be answered by
+/// copying a previously derived `(speed, capacity)` vector instead of
+/// running [`compute_rates_into`] and the penalty pass.
 ///
-/// After [`RateCache::set_layout`] declares each application's maximum
-/// busy count, keys whose bit widths fit are packed into a single `u64`
-/// (policy bit, one warm bit per app, then each busy count in its own bit
-/// field) and probed in an FxHash-keyed map: the hot-path lookup hashes
-/// one machine word instead of SipHashing a heap `Vec<u32>`. Keys that do
-/// not fit — more than ~60 busy bits, or no layout declared — fall back
-/// to the original `Vec<u32>` key, also Fx-hashed. Both paths perform
-/// zero heap allocations on a hit.
-///
-/// The warm-up flag is included defensively: the solver's output does not
-/// currently depend on it (warm-up scales thread speed *after* the
-/// solve), so including it only splits entries, never falsifies them —
-/// and it keeps the cache correct if warm-up ever moves into the solver.
-#[derive(Debug, Default)]
+/// The key packs the sharing policy (bit 0), one warm-up bit per
+/// application, then each busy count in its own bit field, whose width
+/// [`RateCache::new`] fixes from the application's thread count. The warm
+/// bits encode exactly the penalty condition, so the stored speeds are a
+/// pure function of the key. The machine, partition, miss-ratio curves
+/// and bandwidth model are *not* part of the key — the owner must call
+/// [`RateCache::invalidate`] whenever any of those change (the node does
+/// so in `set_partition`/`set_policy`). A layout that does not fit in 64
+/// bits yields no key: every lookup misses and the owner solves each time.
+#[derive(Debug)]
 pub struct RateCache {
-    packed: HashMap<u64, Vec<AppRates>, FxBuildHasher>,
-    wide: HashMap<Vec<u32>, Vec<AppRates>, FxBuildHasher>,
-    key: Vec<u32>,
+    /// Slot keys; meaningful only where `used` is set.
+    keys: Vec<u64>,
+    used: Vec<bool>,
+    /// Slot payloads at stride `2n`: `[speed_0, capacity_0, speed_1, ...]`.
+    vals: Vec<f64>,
     /// Bit width of each application's busy field in the packed key.
     bits: Vec<u32>,
     packable: bool,
-    scratch: RateScratch,
-    epoch: u64,
+    len: usize,
     hits: u64,
     misses: u64,
 }
 
 impl RateCache {
-    /// Creates an empty cache at epoch zero. Until [`RateCache::
-    /// set_layout`] is called, every lookup uses the wide-key path.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares each application's maximum busy-thread count so lookup
-    /// keys can be packed into a single `u64` when the per-app bit widths
-    /// fit alongside the policy and warm bits. Safe to call repeatedly; a
-    /// layout change drops previously packed entries.
-    pub fn set_layout(&mut self, max_busy: &[u32]) {
+    /// Creates an empty memo whose key layout fits busy counts up to
+    /// `max_busy[i]` for application `i`.
+    pub fn new(max_busy: &[u32]) -> Self {
+        let n = max_busy.len();
         let bits: Vec<u32> = max_busy.iter().map(|&t| 32 - t.leading_zeros()).collect();
-        let total: u32 = 1 + max_busy.len() as u32 + bits.iter().sum::<u32>();
-        let packable = total <= 64 && max_busy.len() <= 63;
-        if bits != self.bits || packable != self.packable {
-            self.packed.clear();
-            self.bits = bits;
-            self.packable = packable;
+        let total: u32 = 1 + n as u32 + bits.iter().sum::<u32>();
+        let slots = 64;
+        RateCache {
+            keys: vec![0; slots],
+            used: vec![false; slots],
+            vals: vec![0.0; slots * 2 * n],
+            bits,
+            packable: total <= 64 && n <= 63,
+            len: 0,
+            hits: 0,
+            misses: 0,
         }
-    }
-
-    /// The partition epoch: how many times the cache has been invalidated
-    /// (the node bumps it on every accepted repartition or policy
-    /// change).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Lookups answered from memory.
@@ -344,44 +262,24 @@ impl RateCache {
         self.hits
     }
 
-    /// Lookups that ran the solver.
+    /// Lookups that found nothing, so the owner ran the solver.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Fraction of lookups answered from memory, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Number of distinct rate vectors currently memoized (both key
-    /// representations).
-    pub fn entries(&self) -> usize {
-        self.packed.len() + self.wide.len()
-    }
-
-    /// Drops every memoized entry and advances the epoch. Must be called
-    /// whenever the machine, partition, curves or bandwidth model change;
-    /// hit/miss counters survive.
+    /// Drops every memoized entry. Must be called whenever the machine,
+    /// partition, curves or bandwidth model change; hit/miss counters
+    /// survive.
     pub fn invalidate(&mut self) {
-        self.packed.clear();
-        self.wide.clear();
-        self.epoch += 1;
+        self.used.fill(false);
+        self.len = 0;
     }
 
-    /// Packs a busy-count sequence into the single-`u64` key of the
-    /// declared layout: the policy bit, one warm bit per application,
-    /// then each busy count in its own bit field. Returns `None` when no
-    /// packable layout is declared, `count` does not match it, or a busy
-    /// count overflows its field (a caller exceeding the layout it set).
-    ///
-    /// Exposed so the node can key its own derived-state memo by the
-    /// exact same value that indexes this cache.
+    /// Packs a busy-count sequence into the single-`u64` key: the policy
+    /// bit, one warm bit per application, then each busy count in its own
+    /// bit field. Returns `None` when the layout does not pack, `count`
+    /// does not match it, or a busy count overflows its field (so an
+    /// overflowing count can never alias an entry).
     #[inline(always)]
     pub fn pack_scan_key<I: IntoIterator<Item = u32>>(
         &self,
@@ -413,153 +311,12 @@ impl RateCache {
         (overflow == 0).then_some(key)
     }
 
-    /// The declared packed layout: per-application busy-field bit widths,
-    /// `None` when keys do not fit in a `u64`. Lets the node derive the
-    /// field positions for its incrementally maintained scan key from the
-    /// exact same layout this cache packs with.
+    /// The packed layout: per-application busy-field bit widths, `None`
+    /// when keys do not fit in a `u64`. Lets the node derive the field
+    /// positions of its incrementally maintained key from the exact
+    /// layout [`RateCache::pack_scan_key`] packs with.
     fn layout(&self) -> Option<&[u32]> {
         self.packable.then_some(self.bits.as_slice())
-    }
-
-    /// [`RateCache::pack_scan_key`] over a demand vector.
-    #[inline]
-    fn pack_key(
-        &self,
-        demands: &[AppDemand],
-        warm_mask: u64,
-        policy: SharingPolicy,
-    ) -> Option<u64> {
-        self.pack_scan_key(
-            demands.iter().map(|d| d.busy),
-            demands.len(),
-            warm_mask,
-            policy,
-        )
-    }
-
-    /// Computes (or recalls) the rate vector for `demands` under the
-    /// current partition epoch, writing it into `out` (cleared first).
-    /// Bit `i` of `warm_mask` marks application `i` as inside its warm-up
-    /// window (applications past index 63 share the last bit — harmless,
-    /// see the type docs). Returns `true` on a cache hit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rates_for(
-        &mut self,
-        machine: &MachineConfig,
-        partition: &Partition,
-        demands: &[AppDemand],
-        warm_mask: u64,
-        policy: SharingPolicy,
-        bw: &BandwidthModel,
-        out: &mut Vec<AppRates>,
-    ) -> bool {
-        if self.packable && demands.len() == self.bits.len() {
-            if let Some(key) = self.pack_key(demands, warm_mask, policy) {
-                if let Some(cached) = self.packed.get(&key) {
-                    self.hits += 1;
-                    out.clear();
-                    out.extend_from_slice(cached);
-                    return true;
-                }
-                self.misses += 1;
-                compute_rates_into(
-                    machine,
-                    partition,
-                    demands,
-                    policy,
-                    bw,
-                    &mut self.scratch,
-                    out,
-                );
-                if self.entries() >= RATE_CACHE_MAX_ENTRIES {
-                    self.packed.clear();
-                    self.wide.clear();
-                }
-                self.packed.insert(key, out.clone());
-                return false;
-            }
-        }
-        self.key.clear();
-        self.key.push(match policy {
-            SharingPolicy::Fair => 0,
-            SharingPolicy::LcPriority => 1,
-        });
-        self.key.push(warm_mask as u32);
-        self.key.push((warm_mask >> 32) as u32);
-        self.key.extend(demands.iter().map(|d| d.busy));
-        if let Some(cached) = self.wide.get(self.key.as_slice()) {
-            self.hits += 1;
-            out.clear();
-            out.extend_from_slice(cached);
-            return true;
-        }
-        self.misses += 1;
-        compute_rates_into(
-            machine,
-            partition,
-            demands,
-            policy,
-            bw,
-            &mut self.scratch,
-            out,
-        );
-        if self.entries() >= RATE_CACHE_MAX_ENTRIES {
-            self.packed.clear();
-            self.wide.clear();
-        }
-        self.wide.insert(self.key.clone(), out.clone());
-        false
-    }
-}
-
-/// Entry bound of the [`DerivedCache`]: the reachable key population is
-/// the busy-count cross product actually visited between repartitions
-/// (tens of keys), so hitting this bound means something degenerate is
-/// going on and the memo is dropped wholesale.
-const DERIVED_CACHE_MAX_ENTRIES: usize = 4096;
-
-/// An open-addressed memo of the *derived* per-application rate state —
-/// the post-warm-up-penalty thread speeds and core capacities — keyed by
-/// the same packed `u64` the [`RateCache`] uses.
-///
-/// The rate cache answers "what did the fluid solver say for this busy
-/// vector"; on top of that the event loop still pays, per lookup, the
-/// `HashMap` probe, the `AppRates` vector copy, and the penalty-scaling
-/// pass. Between repartitions the busy vector cycles through a handful
-/// of values, so those derived speeds are themselves pure functions of
-/// the packed key (the warm bits encode exactly the penalty condition,
-/// and re-multiplying the same two floats is bit-stable) — one flat
-/// linear-probe table short-circuits all three costs down to a key pack,
-/// one probe and a `2n`-float copy. Invalidated wherever the rate cache
-/// is, plus on overhead-model changes (the stored speeds embed the
-/// penalty factor).
-#[derive(Debug)]
-struct DerivedCache {
-    /// Slot keys; meaningful only where `used` is set.
-    keys: Vec<u64>,
-    used: Vec<bool>,
-    /// Slot payloads at stride `2n`: `[speed_0, capacity_0, speed_1, ...]`.
-    vals: Vec<f64>,
-    /// Apps per entry (payload stride is `2 * n`).
-    n: usize,
-    len: usize,
-}
-
-impl DerivedCache {
-    fn new(n: usize) -> Self {
-        let slots = 64;
-        DerivedCache {
-            keys: vec![0; slots],
-            used: vec![false; slots],
-            vals: vec![0.0; slots * 2 * n],
-            n,
-            len: 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        self.used.fill(false);
-        self.len = 0;
     }
 
     /// Maps a key to its preferred slot: one multiplicative hash, high
@@ -569,75 +326,86 @@ impl DerivedCache {
         (key.wrapping_mul(FX_SEED) >> 32) as usize & (self.keys.len() - 1)
     }
 
-    /// Returns the payload offset for `key`, or `None` on a miss.
+    /// The memoized `[speed_0, capacity_0, speed_1, ...]` for `key`,
+    /// counting a hit, or `None` — counting a miss — when `key` is absent
+    /// or is `None` (a layout that does not pack).
     #[inline(always)]
-    fn lookup(&self, key: u64) -> Option<usize> {
-        let mut s = self.slot_of(key);
-        loop {
-            if !self.used[s] {
-                return None;
+    pub fn lookup(&mut self, key: Option<u64>) -> Option<&[f64]> {
+        if let Some(key) = key {
+            let mut s = self.slot_of(key);
+            while self.used[s] {
+                if self.keys[s] == key {
+                    self.hits += 1;
+                    let stride = 2 * self.bits.len();
+                    return Some(&self.vals[s * stride..(s + 1) * stride]);
+                }
+                s = (s + 1) & (self.keys.len() - 1);
             }
-            if self.keys[s] == key {
-                return Some(s * 2 * self.n);
-            }
-            s = (s + 1) & (self.keys.len() - 1);
         }
+        self.misses += 1;
+        None
     }
 
-    /// Inserts the interleaved `(speed, capacity)` state under `key`,
-    /// growing (or, past the defensive bound, dropping) the table as
-    /// needed. The caller looks up before inserting, so `key` is absent.
-    fn insert(&mut self, key: u64, speed: &[f64], capacity: &[f64]) {
-        if self.len >= DERIVED_CACHE_MAX_ENTRIES {
-            self.clear();
+    /// Memoizes the per-application `speed` and `capacity` under `key`,
+    /// growing (or, at the entry cap, dropping) the table as needed. The
+    /// caller looks up before inserting, so `key` is absent.
+    pub fn insert(&mut self, key: u64, speed: &[f64], capacity: &[f64]) {
+        if self.len >= RATE_CACHE_MAX_ENTRIES {
+            self.invalidate();
         }
         if (self.len + 1) * 2 >= self.keys.len() {
             self.grow();
         }
+        let off = self.claim_slot(key) * 2 * self.bits.len();
+        for (i, (&sp, &cap)) in speed.iter().zip(capacity).enumerate() {
+            self.vals[off + 2 * i] = sp;
+            self.vals[off + 2 * i + 1] = cap;
+        }
+    }
+
+    /// Marks the first free slot on `key`'s probe path as holding `key`
+    /// and returns it.
+    fn claim_slot(&mut self, key: u64) -> usize {
         let mut s = self.slot_of(key);
         while self.used[s] {
             s = (s + 1) & (self.keys.len() - 1);
         }
         self.used[s] = true;
         self.keys[s] = key;
-        let off = s * 2 * self.n;
-        for i in 0..self.n {
-            self.vals[off + 2 * i] = speed[i];
-            self.vals[off + 2 * i + 1] = capacity[i];
-        }
         self.len += 1;
+        s
     }
 
     /// Doubles the table, re-probing every live entry into the new slots.
     fn grow(&mut self) {
-        let old_slots = self.keys.len();
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; old_slots * 2]);
-        let old_used = std::mem::replace(&mut self.used, vec![false; old_slots * 2]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![0.0; old_slots * 2 * 2 * self.n]);
+        let stride = 2 * self.bits.len();
+        let slots = self.keys.len() * 2;
+        let old_keys = std::mem::replace(&mut self.keys, vec![0; slots]);
+        let old_used = std::mem::replace(&mut self.used, vec![false; slots]);
+        let old_vals = std::mem::replace(&mut self.vals, vec![0.0; slots * stride]);
         self.len = 0;
-        for s in 0..old_slots {
+        for (s, &key) in old_keys.iter().enumerate() {
             if old_used[s] {
-                let off = s * 2 * self.n;
-                let (speeds, caps): (Vec<f64>, Vec<f64>) = (0..self.n)
-                    .map(|i| (old_vals[off + 2 * i], old_vals[off + 2 * i + 1]))
-                    .unzip();
-                self.insert(old_keys[s], &speeds, &caps);
+                let off = self.claim_slot(key) * stride;
+                self.vals[off..off + stride]
+                    .copy_from_slice(&old_vals[s * stride..(s + 1) * stride]);
             }
         }
     }
 }
 
 /// Counters describing how much work one [`NodeSim`] has done — used by
-/// the experiment engine to report simulated-events/sec and rate-cache
+/// the experiment engine to report simulated-events/sec and rate-memo
 /// effectiveness in `repro --timings`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimPerfStats {
     /// Discrete events processed (arrivals, completions, warm-up
     /// expiries); window boundaries are not counted.
     pub events: u64,
-    /// Rate-cache lookups answered from memory.
+    /// Rate recomputations answered from the [`RateCache`] memo.
     pub rate_hits: u64,
-    /// Rate-cache lookups that ran the fluid solver.
+    /// Rate recomputations that ran the fluid solver: memo misses, plus
+    /// every recomputation of a node whose key layout does not pack.
     pub rate_misses: u64,
 }
 
@@ -720,7 +488,6 @@ pub struct NodeSim {
     arena: RequestArena,
     partition: Partition,
     policy: SharingPolicy,
-    overhead: OverheadModel,
     window: SimTime,
     time: SimTime,
     window_index: u64,
@@ -738,13 +505,9 @@ pub struct NodeSim {
     /// fields change between calls (kind, curve and bandwidth appetite
     /// are fixed per application).
     demands: Vec<AppDemand>,
+    /// Solver scratch for rate-memo misses.
+    scratch: RateScratch,
     rate_cache: RateCache,
-    /// Memo of post-penalty speed/capacity vectors by packed key; lets
-    /// most rate recomputations skip the rate cache entirely.
-    derived: DerivedCache,
-    /// Rate recomputations answered by `derived` (they never reach the
-    /// rate cache, so they are invisible to its own hit counter).
-    derived_hits: u64,
     /// The packed busy/warm/policy key, maintained *incrementally*: busy
     /// bit fields are patched at the arrival/completion sites that change
     /// them, warm bits and the policy bit are rebuilt only when
@@ -919,11 +682,10 @@ impl NodeSim {
                 bw_per_thread: a.spec.cache_profile().bw_gbps_per_thread,
             })
             .collect();
-        let mut rate_cache = RateCache::new();
         let max_busy: Vec<u32> = apps.iter().map(|a| a.spec.threads()).collect();
-        rate_cache.set_layout(&max_busy);
+        let rate_cache = RateCache::new(&max_busy);
         // Field positions of the incremental scan key, derived from the
-        // cache's own layout so the two can never disagree: fields start
+        // memo's own layout so the two can never disagree: fields start
         // after the policy bit and the `n` warm bits.
         let (busy_shift, busy_mask): (Vec<u32>, Vec<u64>) = match rate_cache.layout() {
             Some(bits) => {
@@ -954,7 +716,6 @@ impl NodeSim {
             arena,
             partition,
             policy: SharingPolicy::Fair,
-            overhead: OverheadModel::default(),
             window: SimTime::from_ms(500.0),
             time: SimTime::ZERO,
             window_index: 0,
@@ -963,9 +724,8 @@ impl NodeSim {
             rates_dirty: true,
             next_warm_expiry: SimTime::NEVER,
             demands,
+            scratch: RateScratch::new(),
             rate_cache,
-            derived: DerivedCache::new(n),
-            derived_hits: 0,
             packed_key: None,
             busy_shift,
             busy_mask,
@@ -1005,21 +765,12 @@ impl NodeSim {
         self.adjustments
     }
 
-    /// The current partition epoch: bumped on every accepted repartition
-    /// or sharing-policy change, i.e. whenever the rate cache is
-    /// invalidated.
-    pub fn partition_epoch(&self) -> u64 {
-        self.rate_cache.epoch()
-    }
-
-    /// Work counters of this simulation: events processed and rate-cache
+    /// Work counters of this simulation: events processed and rate-memo
     /// hit/miss totals.
     pub fn perf_stats(&self) -> SimPerfStats {
         SimPerfStats {
             events: self.events,
-            // Derived-memo answers are memory hits from the event loop's
-            // point of view; the rate cache never sees those lookups.
-            rate_hits: self.rate_cache.hits() + self.derived_hits,
+            rate_hits: self.rate_cache.hits(),
             rate_misses: self.rate_cache.misses(),
         }
     }
@@ -1049,12 +800,10 @@ impl NodeSim {
         if self.policy != policy {
             self.policy = policy;
             self.rates_dirty = true;
-            // The policy is part of the rate-cache key, so entries under
-            // the old policy stay valid — but a policy flip is a
-            // partition-epoch event for observers, and dropping the map
-            // keeps the entry population tied to the current regime.
+            // The policy is part of the rate-memo key, so entries under
+            // the old policy stay valid — but dropping them keeps the
+            // entry population tied to the current regime.
             self.rate_cache.invalidate();
-            self.derived.clear();
             // The policy bit sits in the packed key too.
             self.warm_stale = true;
         }
@@ -1064,15 +813,6 @@ impl NodeSim {
     /// interval).
     pub fn set_window_ms(&mut self, ms: f64) {
         self.window = SimTime::from_ms(ms.max(1.0));
-    }
-
-    /// Overrides the repartitioning overhead model.
-    pub fn set_overhead(&mut self, overhead: OverheadModel) {
-        self.overhead = overhead;
-        // The cached per-thread speeds — and every derived-memo entry —
-        // embed the warm-up penalty factor.
-        self.rates_dirty = true;
-        self.derived.clear();
     }
 
     /// Overrides the reported tail quantile (default 0.95, the paper's
@@ -1166,7 +906,7 @@ impl NodeSim {
     /// Applies a new partition, validating capacity and that no application
     /// is left without any reachable core. Applications whose isolated
     /// allocation changed (and everyone touching the shared region when its
-    /// size changed) pay the configured warm-up penalty.
+    /// size changed) pay the [`WARMUP_PENALTY`] for [`WARMUP_MS`].
     ///
     /// # Errors
     ///
@@ -1201,7 +941,7 @@ impl NodeSim {
         let shared_changed = partition.shared_cores(&self.machine)
             != self.partition.shared_cores(&self.machine)
             || partition.shared_ways(&self.machine) != self.partition.shared_ways(&self.machine);
-        let until = self.time + SimTime::from_ms(self.overhead.warmup_ms);
+        let until = self.time + SimTime::from_ms(WARMUP_MS);
         for i in 0..self.apps.len() {
             let touched = changed.contains(&AppId::from(i))
                 || (shared_changed && partition.isolated(i.into()).cores == 0);
@@ -1214,9 +954,8 @@ impl NodeSim {
         self.rates_dirty = true;
         // Fresh warm-up deadlines change the packed key's warm mask.
         self.warm_stale = true;
-        // Memoized rate vectors were computed under the old partition.
+        // Memoized rates were computed under the old partition.
         self.rate_cache.invalidate();
-        self.derived.clear();
         Ok(())
     }
 
@@ -1227,7 +966,7 @@ impl NodeSim {
     /// migrated onto this node — its working set arrives cold, which is
     /// typically far more expensive than the cache refill after a local
     /// allocation change, so callers pass a duration rather than reusing
-    /// [`OverheadModel::warmup_ms`] implicitly.
+    /// [`WARMUP_MS`] implicitly.
     ///
     /// # Errors
     ///
@@ -1236,9 +975,9 @@ impl NodeSim {
         let id = self.app_id(name)?;
         self.hot.warmup_until[id.index()] = self.time + SimTime::from_ms(ms.max(0.0));
         self.rates_dirty = true;
-        // The warm mask is part of the packed scan key, so memoized rate /
-        // derived entries stay valid under their own keys; only the mask
-        // needs repacking.
+        // The warm mask is part of the packed scan key, so memoized
+        // entries stay valid under their own keys; only the mask needs
+        // repacking.
         self.warm_stale = true;
         Ok(())
     }
@@ -1363,56 +1102,47 @@ impl NodeSim {
         if self.warm_stale {
             self.rebuild_packed_key();
         }
-        // Fast path: the derived memo answers with the final speed and
-        // capacity vectors — no demand-vector update, no rate-cache probe,
-        // no penalty pass. The stored floats are the exact values the slow
-        // path computed the first time this key was seen, so the fast path
-        // is bit-identical to it.
-        if let Some(key) = self.packed_key {
-            #[cfg(debug_assertions)]
-            self.debug_assert_key_consistency(key);
-            if let Some(off) = self.derived.lookup(key) {
-                self.derived_hits += 1;
-                let n = self.apps.len();
-                for i in 0..n {
-                    self.hot.speed[i] = self.derived.vals[off + 2 * i];
-                    self.hot.capacity[i] = self.derived.vals[off + 2 * i + 1];
-                }
-                self.refresh_next_warm_expiry();
-                self.rates_dirty = false;
-                return;
-            }
-        }
+        // Fast path: the memo answers with the final speed and capacity
+        // vectors — no demand-vector update, no solve, no penalty pass.
+        // The stored floats are the exact values the slow path computed
+        // the first time this key was seen, so the fast path is
+        // bit-identical to it.
         let key = self.packed_key;
-        let mut warm_mask = 0u64;
+        #[cfg(debug_assertions)]
+        self.debug_assert_key_consistency(key);
+        if let Some(vals) = self.rate_cache.lookup(key) {
+            for i in 0..self.apps.len() {
+                self.hot.speed[i] = vals[2 * i];
+                self.hot.capacity[i] = vals[2 * i + 1];
+            }
+            self.refresh_next_warm_expiry();
+            self.rates_dirty = false;
+            return;
+        }
         for (i, d) in self.demands.iter_mut().enumerate() {
             d.busy = if self.hot.is_lc[i] {
                 self.arena.len(i) as u32
             } else {
                 self.hot.static_busy[i]
             };
-            if self.time < self.hot.warmup_until[i] {
-                warm_mask |= 1 << i.min(63);
-            }
         }
-        self.rate_cache.rates_for(
+        compute_rates_into(
             &self.machine,
             &self.partition,
             &self.demands,
-            warm_mask,
             self.policy,
             &self.bw,
+            &mut self.scratch,
             &mut self.rates,
         );
-        // Refresh the cached per-thread speeds — the same arithmetic the
-        // event loop used to run per call (`speed_per_thread`, scaled by
-        // the warm-up penalty while inside the warm-up window) — and the
+        // Derive the cached per-thread speeds (`speed_per_thread`, scaled
+        // by the warm-up penalty while inside the warm-up window) and the
         // earliest future warm-up boundary that will invalidate them.
         let mut next_expiry = SimTime::NEVER;
         for i in 0..self.rates.len() {
             let until = self.hot.warmup_until[i];
             self.hot.speed[i] = if self.time < until {
-                self.rates[i].speed_per_thread * self.overhead.warmup_penalty
+                self.rates[i].speed_per_thread * WARMUP_PENALTY
             } else {
                 self.rates[i].speed_per_thread
             };
@@ -1423,14 +1153,14 @@ impl NodeSim {
         }
         self.next_warm_expiry = next_expiry;
         if let Some(key) = key {
-            self.derived
+            self.rate_cache
                 .insert(key, &self.hot.speed, &self.hot.capacity);
         }
         self.rates_dirty = false;
     }
 
     /// Recomputes `next_warm_expiry` from the warm-up deadlines — the
-    /// derived-memo fast path needs it without the slow path's fused loop.
+    /// memo's fast path needs it without the slow path's fused loop.
     fn refresh_next_warm_expiry(&mut self) {
         let mut next_expiry = SimTime::NEVER;
         for &until in &self.hot.warmup_until {
@@ -1446,7 +1176,7 @@ impl NodeSim {
     /// policy — the invariant that lets `recompute_rates` skip the
     /// per-call repack.
     #[cfg(debug_assertions)]
-    fn debug_assert_key_consistency(&self, key: u64) {
+    fn debug_assert_key_consistency(&self, key: Option<u64>) {
         let n = self.apps.len();
         let mut warm_mask = 0u64;
         for i in 0..n {
@@ -1467,8 +1197,7 @@ impl NodeSim {
             self.policy,
         );
         debug_assert_eq!(
-            Some(key),
-            fresh,
+            key, fresh,
             "incrementally patched packed key drifted from a fresh pack"
         );
     }
@@ -1965,74 +1694,51 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_wide_cache_paths_agree() {
-        let machine = MachineConfig::paper_xeon();
-        let bw = BandwidthModel::new(machine.membw_gbps);
-        let partition = Partition::all_shared(3);
-        let profile = CacheProfile::balanced();
-        let mut demands: Vec<AppDemand> = (0..3)
-            .map(|i| AppDemand {
-                kind: if i == 2 { AppKind::Be } else { AppKind::Lc },
-                busy: 0,
-                curve: profile.curve(machine.llc_ways),
-                bw_per_thread: profile.bw_gbps_per_thread,
-            })
-            .collect();
-        let mut packed = RateCache::new();
-        packed.set_layout(&[4, 4, 4]);
-        let mut wide = RateCache::new(); // no layout: wide path only
-        let mut out_p = Vec::new();
-        let mut out_w = Vec::new();
-        for step in 0..40u32 {
-            for (j, d) in demands.iter_mut().enumerate() {
-                d.busy = (step + j as u32) % 5;
-            }
-            let warm = u64::from(step % 8);
-            let policy = if step % 2 == 0 {
-                SharingPolicy::Fair
-            } else {
-                SharingPolicy::LcPriority
-            };
-            let hit_p = packed.rates_for(
-                &machine, &partition, &demands, warm, policy, &bw, &mut out_p,
-            );
-            let hit_w = wide.rates_for(
-                &machine, &partition, &demands, warm, policy, &bw, &mut out_w,
-            );
-            assert_eq!(hit_p, hit_w, "hit/miss patterns must agree at step {step}");
-            assert_eq!(
-                out_p.as_slice(),
-                out_w.as_slice(),
-                "rates diverge at {step}"
-            );
-        }
-        assert_eq!(packed.hits(), wide.hits());
-        assert_eq!(packed.entries(), wide.entries());
-        // A busy count overflowing its declared bit field must not alias a
-        // packed entry: it falls back to the wide path and stays correct.
-        demands[0].busy = 31;
-        let direct = compute_rates(&machine, &partition, &demands, SharingPolicy::Fair, &bw);
-        packed.rates_for(
-            &machine,
-            &partition,
-            &demands,
-            0,
-            SharingPolicy::Fair,
-            &bw,
-            &mut out_p,
-        );
-        assert_eq!(out_p.as_slice(), direct.as_slice());
+    fn overflowing_busy_count_yields_no_key() {
+        let c = RateCache::new(&[4, 4, 4]);
+        let key = |busy: [u32; 3]| c.pack_scan_key(busy, 3, 0, SharingPolicy::Fair);
+        assert!(key([4, 4, 4]).is_some());
+        // 31 overflows the 3-bit field: no key, so it cannot alias the
+        // entry of the count its low bits spell (31 & 7 = 7, or 31 << 3
+        // spilling into the next field).
+        assert_eq!(key([31, 0, 0]), None);
+        assert_eq!(key([0, 0, 8]), None);
+        // A count that does not match the layout yields no key either.
+        assert_eq!(c.pack_scan_key([1, 1], 2, 0, SharingPolicy::Fair), None);
     }
 
     #[test]
     fn cache_layout_packs_large_mixes() {
         // Fig. 12's shape: 8 apps × 4 threads → 1 + 8 + 8·3 = 33 bits.
-        let mut c = RateCache::new();
-        c.set_layout(&[4; 8]);
-        assert!(c.packable, "8×4-thread mix must pack into u64");
-        // A pathological layout that cannot pack falls back cleanly.
-        c.set_layout(&[u32::MAX; 8]);
-        assert!(!c.packable);
+        assert!(
+            RateCache::new(&[4; 8]).packable,
+            "8×4-thread mix must pack into u64"
+        );
+        // A pathological layout that cannot pack.
+        assert!(!RateCache::new(&[u32::MAX; 8]).packable);
+    }
+
+    #[test]
+    fn unpackable_mix_runs_without_the_memo() {
+        // 1 + 4 + 3 + 3·21 = 71 key bits: the node solves every time.
+        let huge_be = |name: &str| {
+            AppSpec::be(name)
+                .threads(1 << 20)
+                .ipc_solo(1.5)
+                .cache(CacheProfile::compute())
+                .build()
+                .unwrap()
+        };
+        let specs = vec![lc_spec("lc"), huge_be("a"), huge_be("b"), huge_be("c")];
+        let mut s = NodeSim::new(MachineConfig::paper_xeon(), specs, 9).unwrap();
+        assert!(s.rate_cache.layout().is_none());
+        s.set_load("lc", 0.3).unwrap();
+        let obs = s.run_windows(2);
+        assert!(obs[1].lc[0].arrivals > 0);
+        let stats = s.perf_stats();
+        assert!(stats.events > 0);
+        assert_eq!(stats.rate_hits, 0);
+        assert!(stats.rate_misses > 0);
     }
 
     #[test]

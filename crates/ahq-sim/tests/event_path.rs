@@ -20,7 +20,7 @@
 
 use ahq_sim::{
     AppSpec, CacheProfile, MachineConfig, NodeSim, Partition, RegionAlloc, SharingPolicy,
-    WindowObservation,
+    SimPerfStats, WindowObservation,
 };
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_run20.txt");
@@ -49,7 +49,8 @@ fn be_spec(name: &str, profile: CacheProfile) -> AppSpec {
 /// The pinned scenario: 2 LC + 2 BE on the paper machine, exercising
 /// arrivals, completions, drops, repartitions (warm-up penalties), policy
 /// flips and load changes — every event kind and invalidation path.
-fn pinned_run() -> Vec<WindowObservation> {
+/// Returns the observation stream and the node's work counters.
+fn pinned_run() -> (Vec<WindowObservation>, SimPerfStats) {
     let specs = vec![
         lc_spec("lc-a", 1.0, 2000.0),
         lc_spec("lc-b", 2.0, 800.0),
@@ -78,7 +79,7 @@ fn pinned_run() -> Vec<WindowObservation> {
     sim.set_policy(SharingPolicy::Fair);
     sim.set_load("lc-b", 0.0).expect("LC app");
     obs.extend(sim.run_windows(5));
-    obs
+    (obs, sim.perf_stats())
 }
 
 /// Canonical, serializer-independent rendering: Rust's `{:?}` for floats
@@ -116,7 +117,7 @@ fn render(observations: &[WindowObservation]) -> String {
 
 #[test]
 fn run20_observation_stream_is_pinned() {
-    let rendered = render(&pinned_run());
+    let rendered = render(&pinned_run().0);
     if std::env::var_os("GOLDEN_WRITE").is_some() {
         std::fs::write(GOLDEN_PATH, &rendered).expect("write golden");
         return;
@@ -140,5 +141,21 @@ fn run20_observation_stream_is_pinned() {
 
 #[test]
 fn pinned_run_is_deterministic() {
-    assert_eq!(render(&pinned_run()), render(&pinned_run()));
+    assert_eq!(render(&pinned_run().0), render(&pinned_run().0));
+}
+
+/// The rate memo's accounting on the pinned scenario. Values recorded
+/// before the node's two-level rate memo was folded into one: a change to
+/// which recomputations hit, or to how they are counted, shows up here.
+#[test]
+fn pinned_run_memo_accounting_is_pinned() {
+    let stats = pinned_run().1;
+    assert_eq!(
+        stats,
+        SimPerfStats {
+            events: 39_681,
+            rate_hits: 33_652,
+            rate_misses: 79,
+        }
+    );
 }

@@ -1,8 +1,7 @@
-//! Benchmarks of the node event path introduced with the memoized
-//! fluid-rate cache: end-to-end `run_window` throughput on the pinned
-//! 2LC+2BE paper-machine scenario (the `BENCH_node.json` baseline), and
-//! the rate-lookup microbench comparing a cache hit against the direct
-//! solver with and without scratch buffers.
+//! Benchmarks of the node event path: end-to-end `run_window` throughput
+//! on the pinned 2LC+2BE paper-machine scenario (the `BENCH_node.json`
+//! baseline), and the rate-lookup microbench comparing a rate-memo hit
+//! against the direct solver with and without scratch buffers.
 
 use std::hint::black_box;
 
@@ -42,36 +41,33 @@ fn main() {
     let bw = BandwidthModel::new(machine.membw_gbps);
     let partition = Partition::all_shared(4);
     let demands = paper_pair_demands(&machine);
-    let lookup = |cache: &mut RateCache, out: &mut Vec<_>| {
-        cache.rates_for(
-            black_box(&machine),
-            black_box(&partition),
-            black_box(&demands),
+    // The layout NodeSim declares for this scenario, primed with the one
+    // entry the loop keeps hitting: a hit packs the key, probes the table
+    // and copies the `(speed, capacity)` pairs out, as the event loop does.
+    let mut cache = RateCache::new(&[4, 4, 4, 4]);
+    let pack = |cache: &RateCache| {
+        cache.pack_scan_key(
+            black_box(&demands).iter().map(|d| d.busy),
+            demands.len(),
             0,
             SharingPolicy::Fair,
-            &bw,
-            out,
         )
     };
-
-    // The layout NodeSim declares for this scenario: keys pack into one
-    // u64 and hits take the packed-probe path. The first lookup primes the
-    // single entry the loop keeps hitting.
-    let mut cache = RateCache::new();
-    cache.set_layout(&[4, 4, 4, 4]);
-    let mut out = Vec::new();
-    lookup(&mut cache, &mut out);
-    bench.run("rate_lookup/cache_hit", || lookup(&mut cache, &mut out));
-
-    // No layout declared: the same lookup through the fallback
-    // `Vec<u32>`-keyed map, for comparison with the packed path.
-    let mut cache = RateCache::new();
-    lookup(&mut cache, &mut out);
-    bench.run("rate_lookup/cache_hit_wide", || {
-        lookup(&mut cache, &mut out)
+    let rates = compute_rates(&machine, &partition, &demands, SharingPolicy::Fair, &bw);
+    let speed: Vec<f64> = rates.iter().map(|r| r.speed_per_thread).collect();
+    let capacity: Vec<f64> = rates.iter().map(|r| r.core_capacity).collect();
+    cache.insert(pack(&cache).expect("layout packs"), &speed, &capacity);
+    let mut hot = [0.0; 8];
+    bench.run("rate_lookup/cache_hit", || {
+        let key = pack(&cache);
+        if let Some(vals) = cache.lookup(key) {
+            hot.copy_from_slice(vals);
+        }
+        hot[0]
     });
 
     let mut scratch = RateScratch::new();
+    let mut out = Vec::new();
     bench.run("rate_lookup/solver_scratch", || {
         compute_rates_into(
             black_box(&machine),

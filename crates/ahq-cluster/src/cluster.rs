@@ -3,6 +3,7 @@
 //! [`ClusterEntropyReport`].
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ahq_core::{derive_seed, EntropyModel};
@@ -431,6 +432,12 @@ pub struct ClusterSim {
     placer: Box<dyn Placer>,
     controller: Option<Box<dyn Controller>>,
     nodes: Vec<NodeState>,
+    /// Cached [`NodeView`] per node: refreshed per touched node by
+    /// [`Self::place_app`]/[`Self::remove_app`], rebuilt once per round
+    /// after the entropy history refresh. Empty until first used.
+    views: Vec<NodeView>,
+    /// The node hosting each placed app id.
+    home: HashMap<u64, usize>,
     round: usize,
     window_stats: Vec<ClusterWindowStat>,
     violations: u64,
@@ -473,6 +480,8 @@ impl ClusterSim {
             placer,
             controller: None,
             nodes,
+            views: Vec::new(),
+            home: HashMap::new(),
             round: 0,
             window_stats: Vec::new(),
             violations: 0,
@@ -542,11 +551,48 @@ impl ClusterSim {
         }
     }
 
-    fn views(&self) -> Vec<NodeView> {
-        (0..self.nodes.len()).map(|i| self.view(i)).collect()
+    fn rebuild_views(&mut self) {
+        self.views = (0..self.nodes.len()).map(|i| self.view(i)).collect();
+    }
+
+    /// Inserts `app` on `node` at `slot` (clamped, so `usize::MAX`
+    /// appends). Every app-set change goes through this pair, which keeps
+    /// `home` and the touched node's view current.
+    fn place_app(&mut self, node: usize, slot: usize, app: PlacedApp) {
+        self.home.insert(app.id, node);
+        let apps = &mut self.nodes[node].apps;
+        apps.insert(slot.min(apps.len()), app);
+        self.nodes[node].touch();
+        self.views[node] = self.view(node);
+    }
+
+    fn remove_app(&mut self, node: usize, slot: usize) -> PlacedApp {
+        let app = self.nodes[node].apps.remove(slot);
+        self.home.remove(&app.id);
+        self.nodes[node].touch();
+        self.views[node] = self.view(node);
+        app
+    }
+
+    /// Debug builds: the view cache and `home` agree with the placement.
+    #[cfg(debug_assertions)]
+    fn check_index(&self) {
+        for (i, node) in self.nodes.iter().enumerate() {
+            assert_eq!(self.views[i], self.view(i), "stale view of node {i}");
+            for app in &node.apps {
+                assert_eq!(self.home.get(&app.id), Some(&i), "app {}", app.id);
+            }
+        }
+        let placed: usize = self.nodes.iter().map(|n| n.apps.len()).sum();
+        assert_eq!(self.home.len(), placed, "home indexes only placed apps");
     }
 
     fn apply_churn(&mut self) {
+        // Churn opens every round, so the view cache is built here on
+        // first use rather than in `new`.
+        if self.views.is_empty() {
+            self.rebuild_views();
+        }
         let round = self.round;
         // The stream is applied in generation order: departures, then
         // arrivals (each placed against the fleet as mutated so far), then
@@ -555,50 +601,47 @@ impl ClusterSim {
         for event in events {
             match event {
                 ChurnEvent::Depart { id } => {
-                    for node in &mut self.nodes {
-                        let before = node.apps.len();
-                        node.apps.retain(|a| a.id != id);
-                        if node.apps.len() != before {
-                            node.touch();
-                        }
+                    if let Some(&node) = self.home.get(&id) {
+                        let slot = self.nodes[node].apps.iter().position(|a| a.id == id);
+                        self.remove_app(node, slot.expect("home names the app's node"));
                     }
                     self.departures += 1;
                 }
                 ChurnEvent::Arrive(arrival) => {
                     let spec = arrival.spec();
-                    let views = self.views();
-                    let target = self.placer.place(&spec, &views);
+                    let target = self.placer.place(&spec, &self.views);
                     assert!(target < self.nodes.len(), "placer returned node {target}");
-                    self.nodes[target].apps.push(PlacedApp {
+                    let app = PlacedApp {
                         id: arrival.id,
                         spec,
                         load: arrival.load,
-                    });
-                    self.nodes[target].touch();
+                    };
+                    self.place_app(target, usize::MAX, app);
                     self.placements += 1;
                 }
                 ChurnEvent::SetLoad { id, load } => {
-                    for node in &mut self.nodes {
-                        let mut changed = false;
-                        for app in &mut node.apps {
-                            if app.id == id && app.load.is_some() {
-                                app.load = Some(load);
-                                self.load_changes += 1;
-                                changed = true;
-                            }
-                        }
-                        if changed {
+                    // A load is not part of the node's view: no refresh.
+                    if let Some(&node) = self.home.get(&id) {
+                        let node = &mut self.nodes[node];
+                        let lc = node
+                            .apps
+                            .iter_mut()
+                            .find(|a| a.id == id && a.load.is_some());
+                        if let Some(app) = lc {
+                            app.load = Some(load);
+                            self.load_changes += 1;
                             node.touch();
                         }
                     }
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_index();
     }
 
     fn apply_rebalance(&mut self) {
-        let views = self.views();
-        for migration in self.placer.rebalance(&views) {
+        for migration in self.placer.rebalance(&self.views) {
             let (from, to) = (migration.from, migration.to);
             if from >= self.nodes.len() || to >= self.nodes.len() || from == to {
                 continue;
@@ -613,14 +656,14 @@ impl ClusterSim {
                 .max_by_key(|(_, a)| a.id)
                 .map(|(i, _)| i);
             if let Some(i) = pick {
-                let app = self.nodes[from].apps.remove(i);
-                self.nodes[to].apps.push(app);
-                self.nodes[from].touch();
-                self.nodes[to].touch();
+                let app = self.remove_app(from, i);
+                self.place_app(to, usize::MAX, app);
                 self.migrations += 1;
                 self.round_migrations += 1;
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_index();
     }
 
     /// Asks the controller for this round's move and commits it
@@ -633,13 +676,12 @@ impl ClusterSim {
         if self.controller.is_none() {
             return;
         }
-        let views = self.views();
         let round = self.round;
         let proposal = self
             .controller
             .as_mut()
             .expect("checked above")
-            .plan(round, &views);
+            .plan(round, &self.views);
         let Some(mv) = proposal else { return };
         if mv.from >= self.nodes.len() || mv.to >= self.nodes.len() || mv.from == mv.to {
             return;
@@ -652,7 +694,7 @@ impl ClusterSim {
             .max_by_key(|(_, a)| a.id)
             .map(|(i, _)| i);
         let Some(slot) = pick else { return };
-        let app = self.nodes[mv.from].apps.remove(slot);
+        let app = self.remove_app(mv.from, slot);
         let applied = AppliedMove {
             id: app.id,
             name: app.spec.name().to_owned(),
@@ -661,9 +703,7 @@ impl ClusterSim {
             kind: mv.kind,
             from_slot: slot,
         };
-        self.nodes[mv.to].apps.push(app);
-        self.nodes[mv.from].touch();
-        self.nodes[mv.to].touch();
+        self.place_app(mv.to, usize::MAX, app);
         if mv.kind == AppKind::Lc {
             self.nodes[mv.to].cold.push(applied.name.clone());
             self.cold_starts += 1;
@@ -672,6 +712,8 @@ impl ClusterSim {
         self.ctrl_migrations += 1;
         self.round_migrations += 1;
         self.last_move = Some(applied);
+        #[cfg(debug_assertions)]
+        self.check_index();
     }
 
     /// Shows the controller the completed round and executes its verdict:
@@ -682,13 +724,12 @@ impl ClusterSim {
         let Some(mut controller) = self.controller.take() else {
             return;
         };
-        let views = self.views();
         let windows = self.config.windows_per_round;
         let start = self.window_stats.len() - windows;
         let obs = RoundObservation {
             round: self.round,
             windows: &self.window_stats[start..],
-            views: &views,
+            views: &self.views,
             applied: self.last_move.as_ref(),
         };
         let verdict = controller.observe(&obs);
@@ -711,11 +752,8 @@ impl ClusterSim {
         let Some(i) = self.nodes[mv.to].apps.iter().position(|a| a.id == mv.id) else {
             return; // departed mid-round: nothing left to restore
         };
-        let app = self.nodes[mv.to].apps.remove(i);
-        let slot = mv.from_slot.min(self.nodes[mv.from].apps.len());
-        self.nodes[mv.from].apps.insert(slot, app);
-        self.nodes[mv.from].touch();
-        self.nodes[mv.to].touch();
+        let app = self.remove_app(mv.to, i);
+        self.place_app(mv.from, mv.from_slot, app);
         if mv.kind == AppKind::Lc {
             self.nodes[mv.from].cold.push(mv.name);
             self.cold_starts += 1;
@@ -723,6 +761,8 @@ impl ClusterSim {
         }
         self.ctrl_rollbacks += 1;
         self.round_migrations += 1;
+        #[cfg(debug_assertions)]
+        self.check_index();
     }
 
     /// Builds the round's closed per-node jobs (non-empty nodes only).
@@ -801,9 +841,8 @@ impl ClusterSim {
         self.apply_controller_plan();
 
         // Occupancy accounting for this round's assignment.
-        for (i, machine) in self.config.machines.iter().enumerate() {
-            let view = self.view(i);
-            self.occupancy_sum[i] += view.used_threads() as f64 / machine.cores as f64;
+        for (i, view) in self.views.iter().enumerate() {
+            self.occupancy_sum[i] += view.used_threads() as f64 / view.machine.cores as f64;
             if view.apps > 0 {
                 self.rounds_active[i] += 1;
             }
@@ -919,6 +958,7 @@ impl ClusterSim {
                 node.recent_ret = None;
             }
         }
+        self.rebuild_views();
 
         // Ladder transitions, evaluated per HI-FI node in job (= node
         // index) order from this round's results only — a pure function
@@ -1014,6 +1054,10 @@ pub fn run_cluster(config: ClusterConfig, runner: &dyn NodeBatchRunner) -> Clust
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+    use std::rc::Rc;
+
     use super::*;
     use crate::control::{AppMove, ControlVerdict};
 
@@ -1376,5 +1420,87 @@ mod tests {
             report.warmup_windows, 1,
             "250 ms of warm-up rounds up to one 500 ms window"
         );
+    }
+
+    /// Every round moves the newest app of alternating kind off the
+    /// fullest node and rolls back every third move, recording the ids
+    /// it migrated.
+    struct Shuffler {
+        moved: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Controller for Shuffler {
+        fn name(&self) -> &'static str {
+            "shuffler"
+        }
+
+        fn plan(&mut self, round: usize, views: &[NodeView]) -> Option<AppMove> {
+            let from = views.iter().max_by_key(|v| v.apps)?.index;
+            Some(AppMove {
+                from,
+                to: (from + 1) % views.len(),
+                kind: if round.is_multiple_of(2) {
+                    AppKind::Lc
+                } else {
+                    AppKind::Be
+                },
+            })
+        }
+
+        fn observe(&mut self, obs: &RoundObservation<'_>) -> ControlVerdict {
+            self.moved.borrow_mut().extend(obs.applied.map(|mv| mv.id));
+            ControlVerdict {
+                rollback: obs.round % 3 == 1,
+                weights: None,
+            }
+        }
+    }
+
+    #[test]
+    fn migrated_apps_depart_exactly_once() {
+        // Hot enough for the placer to rebalance BE work as well.
+        let config = ClusterConfig {
+            windows_per_round: 1,
+            rounds: 12,
+            seed: 1,
+            churn: ChurnConfig {
+                initial_apps: 16,
+                arrivals_per_round: 2.0,
+                departure_prob: 0.2,
+                load_change_prob: 0.2,
+                be_fraction: 0.5,
+            },
+            ..ClusterConfig::heterogeneous(12, PlacerKind::EntropyAware, LocalSched::Unmanaged)
+        };
+        let moved = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = ClusterSim::new(config);
+        sim.set_controller(Box::new(Shuffler {
+            moved: Rc::clone(&moved),
+        }));
+        let runner = SequentialRunner::default();
+        let mut departed = HashSet::new();
+        while !sim.finished() {
+            let round = sim.round();
+            sim.step_round(&runner);
+            for event in sim.stream.events_for_round(round) {
+                if let ChurnEvent::Depart { id } = event {
+                    assert!(departed.insert(*id), "app {id} departs twice");
+                }
+            }
+            assert_eq!(sim.departures, departed.len() as u64);
+            for app in sim.nodes.iter().flat_map(|n| &n.apps) {
+                assert!(
+                    !departed.contains(&app.id),
+                    "departed app {} placed",
+                    app.id
+                );
+            }
+        }
+        assert!(
+            moved.borrow().iter().any(|id| departed.contains(id)),
+            "some migrated app departs later"
+        );
+        assert!(sim.migrations > 0, "the placer rebalances");
+        assert!(sim.ctrl_rollbacks > 0, "the controller rolls back");
     }
 }

@@ -1,9 +1,10 @@
 //! Integration tests of the cluster layer as wired into the experiment
-//! harness: worker-count invariance of `repro cluster` and the
-//! entropy-aware placer's headline claim.
+//! harness: worker-count invariance of `repro cluster`, a pinned
+//! 1,024-node ladder fleet and the entropy-aware placer's headline claim.
 
 use ahq_cluster::{run_cluster, FidelityMode, LocalSched, PlacerKind, SequentialRunner};
-use ahq_experiments::cluster::{scenario, EngineRunner};
+use ahq_core::stable_hash128;
+use ahq_experiments::cluster::{scaled_scenario, scenario, ClusterOpts, EngineRunner};
 use ahq_experiments::{ExpConfig, ExpContext};
 
 fn quick_cfg(jobs: usize) -> ExpContext {
@@ -97,6 +98,41 @@ fn ladder_tracks_full_fidelity_steady_entropy_at_256_nodes() {
     let dp = (full.steady_p95_entropy(steady) - ladder.steady_p95_entropy(steady)).abs();
     assert!(dm <= 0.05, "steady mean E_S diverges by {dm:.4}");
     assert!(dp <= 0.10, "steady p95 E_S diverges by {dp:.4}");
+}
+
+/// Pins a 1,024-node x 12-round ladder fleet (the `repro cluster --nodes`
+/// scenario) to exact counters and a digest of its report. The `--jobs 1`
+/// vs N tests cannot see a placement drift both sides share; this one can.
+#[test]
+fn scaled_ladder_fleet_matches_its_pinned_counters() {
+    let cfg = quick_cfg(2);
+    let opts = ClusterOpts {
+        nodes: Some(1024),
+        rounds: Some(12),
+        fidelity: FidelityMode::Ladder,
+    };
+    let report = run_cluster(
+        scaled_scenario(&cfg, 1024, &opts),
+        &EngineRunner::new(cfg.engine()),
+    );
+    let hifi: usize = report.window_stats.iter().map(|w| w.hifi_nodes).sum();
+    let lofi: usize = report.window_stats.iter().map(|w| w.lofi_nodes).sum();
+    let digest = stable_hash128(format!("{report:?}").as_bytes());
+    assert_eq!(
+        (
+            report.placements,
+            report.departures,
+            report.load_changes,
+            report.migrations
+        ),
+        (556, 27, 46, 0),
+        "placements, departures, load changes, migrations"
+    );
+    assert_eq!((hifi, lofi), (3074, 9468), "HI-FI and LO-FI node-windows");
+    assert_eq!(
+        digest, 0x1ae9e485604b1ca7828f82d8b4b8a34d,
+        "the report's Debug text drifted"
+    );
 }
 
 #[test]

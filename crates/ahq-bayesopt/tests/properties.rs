@@ -138,3 +138,34 @@ fn ei_is_nonnegative() {
         }
     });
 }
+
+/// A recorded expected-improvement case: a mean far below the incumbent
+/// with moderate variance must still give a finite, non-negative EI.
+#[test]
+fn ei_far_below_the_incumbent_is_finite_and_nonnegative() {
+    let ei = expected_improvement(-2.902594671574283, 0.6427935920272615, 3.5277480992376633);
+    assert!(ei >= 0.0 && ei.is_finite(), "ei = {ei}");
+}
+
+/// A recorded fit whose first and third points lie 0.013 apart with
+/// opposite-sign targets — closer than `training_data`'s 0.05 filter, so
+/// the generator above can no longer produce it. The fit must still
+/// succeed, interpolate every target and keep the variance physical.
+#[test]
+fn gp_fits_near_duplicate_points_with_opposite_targets() {
+    let xs = vec![
+        vec![0.3814255418528006, 0.6898080813667566, 0.6611252808868121],
+        vec![0.5200120437984319, 0.6350533884485086, 0.37277630241101706],
+        vec![0.3809706121735296, 0.6852067810673352, 0.6729194087284364],
+    ];
+    let ys = vec![2.9328810945767914, 0.0, -3.526216987454947];
+    let gp = GaussianProcess::fit(RbfKernel::new(0.4, 1.0, 1e-6), xs.clone(), ys.clone())
+        .expect("PD fit");
+    for (x, y) in xs.iter().zip(ys.iter()) {
+        let (m, v) = gp.predict(x);
+        assert!((m - y).abs() < 0.05, "mean {m} vs target {y}");
+        assert!(v >= 0.0);
+    }
+    let (_, v) = gp.predict(&[0.0, 0.0, 0.0]);
+    assert!(v >= 0.0 && v.is_finite(), "probe variance {v}");
+}

@@ -765,22 +765,15 @@ impl ClusterSim {
         self.check_index();
     }
 
-    /// Builds the round's closed per-node jobs (non-empty nodes only).
+    /// Builds the round's closed HI-FI jobs: every non-empty node not
+    /// currently demoted to the LO-FI surrogate (under `Full`, every
+    /// non-empty node).
     ///
     /// A node hosting no LC application falls back to the unmanaged
     /// scheduler regardless of the configured one: ARQ's contract requires
     /// at least one LC app to protect, and a BE-only node has nothing to
     /// manage. The fallback is a pure function of the node's app set, so
     /// determinism is unaffected.
-    fn node_jobs(&self) -> Vec<NodeJob> {
-        (0..self.nodes.len())
-            .filter(|&i| !self.nodes[i].apps.is_empty())
-            .map(|i| self.node_job(i))
-            .collect()
-    }
-
-    /// The round's HI-FI jobs: every non-empty node not currently demoted
-    /// to the LO-FI surrogate.
     fn hifi_jobs(&self) -> Vec<NodeJob> {
         (0..self.nodes.len())
             .filter(|&i| !self.nodes[i].apps.is_empty() && self.nodes[i].lofi.is_none())
@@ -858,22 +851,10 @@ impl ClusterSim {
             }
         }
 
-        let ladder = self.config.fidelity == FidelityMode::Ladder;
         // Demoted nodes replay their cached surrogate round on the
         // coordinator; everyone else runs HI-FI through the runner. Under
-        // `Full` the LO-FI set is empty and this is the historical path.
-        let lofi_nodes: Vec<usize> = if ladder {
-            (0..self.nodes.len())
-                .filter(|&i| !self.nodes[i].apps.is_empty() && self.nodes[i].lofi.is_some())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let jobs = if ladder {
-            self.hifi_jobs()
-        } else {
-            self.node_jobs()
-        };
+        // `Full` no node is ever demoted, so every job is HI-FI.
+        let jobs = self.hifi_jobs();
         let results = runner.run_nodes(&jobs);
         assert_eq!(results.len(), jobs.len(), "runner must answer every job");
         // Cold-start charges apply to exactly one round; the jobs above
@@ -887,19 +868,21 @@ impl ClusterSim {
         // Idle nodes score through the entropy model's empty-measurement
         // path: E_S = 0 by construction.
         let idle_es = self.config.model.evaluate_auto(&[], &[]).system;
+        // Every active node's round: HI-FI results, then LO-FI replays.
+        let ran: Vec<(usize, &RunResult)> = jobs
+            .iter()
+            .map(|job| job.node)
+            .zip(&results)
+            .chain(self.nodes.iter().enumerate().filter_map(|(i, node)| {
+                let result = node.lofi.as_ref().filter(|_| !node.apps.is_empty());
+                result.map(|result| (i, result))
+            }))
+            .collect();
         let mut es_scratch = vec![idle_es; self.nodes.len()];
         for w in 0..windows {
-            es_scratch.iter_mut().for_each(|e| *e = idle_es);
+            es_scratch.fill(idle_es);
             let mut violations = 0u64;
-            for (job, result) in jobs.iter().zip(results.iter()) {
-                es_scratch[job.node] = result.entropy[w].system;
-                violations += observe::violations(&result.observations[w]);
-            }
-            for &i in &lofi_nodes {
-                let result = self.nodes[i]
-                    .lofi
-                    .as_ref()
-                    .expect("demoted node keeps its surrogate round");
+            for &(i, result) in &ran {
                 es_scratch[i] = result.entropy[w].system;
                 violations += observe::violations(&result.observations[w]);
             }
@@ -914,9 +897,9 @@ impl ClusterSim {
                 p95_es,
                 max_es,
                 violations,
-                active_nodes: jobs.len() + lofi_nodes.len(),
+                active_nodes: ran.len(),
                 hifi_nodes: jobs.len(),
-                lofi_nodes: lofi_nodes.len(),
+                lofi_nodes: ran.len() - jobs.len(),
                 apps: total_apps,
                 round_migrations: self.round_migrations,
             });
@@ -925,45 +908,22 @@ impl ClusterSim {
         // toward the next round it actually disturbs.
         self.round_migrations = 0;
 
-        // Refresh each node's entropy/tolerance history for the placer.
-        for (job, result) in jobs.iter().zip(results.iter()) {
-            let (es, ret) = recent_history(result, windows);
-            let node = &mut self.nodes[job.node];
+        // Refresh each node's entropy/tolerance history for the placer;
+        // nodes that went idle this round keep no stale history.
+        let mut history = vec![(Some(idle_es), None); self.nodes.len()];
+        for &(i, result) in &ran {
+            history[i] = recent_history(result, windows);
+        }
+        for (node, (es, ret)) in self.nodes.iter_mut().zip(history) {
             node.recent_es = es;
             node.recent_ret = ret;
-        }
-        for &i in &lofi_nodes {
-            let (es, ret) = recent_history(
-                self.nodes[i]
-                    .lofi
-                    .as_ref()
-                    .expect("demoted node keeps its surrogate round"),
-                windows,
-            );
-            let node = &mut self.nodes[i];
-            node.recent_es = es;
-            node.recent_ret = ret;
-        }
-        // Nodes that went idle this round keep no stale history.
-        let mut active = vec![false; self.nodes.len()];
-        for job in &jobs {
-            active[job.node] = true;
-        }
-        for &i in &lofi_nodes {
-            active[i] = true;
-        }
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if !active[i] {
-                node.recent_es = Some(idle_es);
-                node.recent_ret = None;
-            }
         }
         self.rebuild_views();
 
         // Ladder transitions, evaluated per HI-FI node in job (= node
         // index) order from this round's results only — a pure function
         // of simulation state, independent of the runner and `--jobs`.
-        if ladder {
+        if self.config.fidelity == FidelityMode::Ladder {
             let policy = self.config.fidelity_policy;
             for (job, result) in jobs.iter().zip(results.iter()) {
                 let node = &mut self.nodes[job.node];
@@ -1115,7 +1075,7 @@ mod tests {
     fn node_jobs_are_closed_and_seeded_per_round() {
         let mut sim = ClusterSim::new(tiny_config(PlacerKind::LeastLoaded));
         sim.apply_churn();
-        let jobs_r0 = sim.node_jobs();
+        let jobs_r0 = sim.hifi_jobs();
         assert!(!jobs_r0.is_empty());
         for job in &jobs_r0 {
             assert_eq!(

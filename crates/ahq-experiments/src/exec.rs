@@ -472,19 +472,6 @@ impl ExpContext {
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
-
-    /// Runs one `(machine, mix, loads, strategy)` configuration through
-    /// the engine.
-    pub fn run_strategy(
-        &self,
-        machine: MachineConfig,
-        mix: &Mix,
-        loads: &[(&str, f64)],
-        strategy: StrategyKind,
-    ) -> Arc<RunResult> {
-        self.engine
-            .run_one(&RunSpec::strategy(&self.cfg, machine, mix, loads, strategy))
-    }
 }
 
 impl Deref for ExpContext {

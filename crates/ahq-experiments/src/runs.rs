@@ -2,19 +2,8 @@
 //! windows, and the experiment configuration.
 
 use ahq_core::EntropyModel;
-use ahq_sched::{run, RunResult};
 use ahq_sim::{MachineConfig, NodeSim};
 use ahq_workloads::mixes::Mix;
-
-use crate::exec::{ExpContext, RunSpec};
-use crate::strategy::StrategyKind;
-
-/// The audited per-replica/per-job seed derivation shared by the executor,
-/// the replication helpers and the cluster layer — now hosted in
-/// [`ahq_core`] so every crate draws from the same stream function.
-/// Re-exported here to keep the historical
-/// `ahq_experiments::runs::derive_seed` path working.
-pub use ahq_core::derive_seed;
 
 /// Experiment-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -77,82 +66,12 @@ pub fn build_sim(machine: MachineConfig, mix: &Mix, loads: &[(&str, f64)], seed:
     sim
 }
 
-/// Runs one `(mix, loads, strategy)` configuration to steady state.
-pub fn run_strategy(
-    cfg: &ExpConfig,
-    machine: MachineConfig,
-    mix: &Mix,
-    loads: &[(&str, f64)],
-    strategy: StrategyKind,
-) -> RunResult {
-    let mut sim = build_sim(machine, mix, loads, cfg.seed);
-    let mut sched = strategy.build();
-    run(&mut sim, sched.as_mut(), cfg.windows(), &cfg.model())
-}
-
-/// Mean and spread of a replicated measurement — every headline number in
-/// the paper is a single run on real hardware; the simulator can afford
-/// replication across seeds to quantify run-to-run noise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicatedStats {
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 for n = 1).
-    pub std_dev: f64,
-    /// Number of replicas.
-    pub n: usize,
-}
-
-impl ReplicatedStats {
-    /// Summarises a sample.
-    pub fn from_samples(samples: &[f64]) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        Some(ReplicatedStats {
-            mean,
-            std_dev: var.sqrt(),
-            n,
-        })
-    }
-}
-
-/// Replicates one configuration's steady-state `E_S` across `n` seeds,
-/// fanning the replicas out over the context's engine. Replica `i` runs
-/// with [`derive_seed`]`(cfg.seed, i)`.
-pub fn replicate_entropy(
-    cfg: &ExpContext,
-    machine: MachineConfig,
-    mix: &Mix,
-    loads: &[(&str, f64)],
-    strategy: StrategyKind,
-    n: usize,
-) -> ReplicatedStats {
-    let specs: Vec<RunSpec> = (0..n.max(1))
-        .map(|i| RunSpec {
-            seed: derive_seed(cfg.seed, i as u64),
-            ..RunSpec::strategy(cfg, machine, mix, loads, strategy)
-        })
-        .collect();
-    let samples: Vec<f64> = cfg
-        .engine()
-        .run_all(&specs)
-        .iter()
-        .map(|r| r.steady_entropy(cfg.steady()))
-        .collect();
-    ReplicatedStats::from_samples(&samples).expect("n >= 1")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ExpContext, RunSpec};
+    use crate::strategy::StrategyKind;
+    use ahq_core::derive_seed;
     use ahq_workloads::mixes;
 
     #[test]
@@ -167,36 +86,37 @@ mod tests {
     }
 
     #[test]
-    fn replicated_stats_math() {
-        let s = ReplicatedStats::from_samples(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(s.mean, 2.0);
-        assert!((s.std_dev - 1.0).abs() < 1e-12);
-        assert_eq!(s.n, 3);
-        let single = ReplicatedStats::from_samples(&[5.0]).unwrap();
-        assert_eq!(single.std_dev, 0.0);
-        assert!(ReplicatedStats::from_samples(&[]).is_none());
-    }
-
-    #[test]
     fn replication_bounds_run_to_run_noise() {
         let cfg = ExpContext::new(ExpConfig {
             quick: true,
             seed: 71,
         });
         let mix = mixes::fluidanimate_mix();
-        let stats = replicate_entropy(
-            &cfg,
-            MachineConfig::paper_xeon(),
-            &mix,
-            &[("xapian", 0.5), ("moses", 0.2), ("img-dnn", 0.2)],
-            StrategyKind::Unmanaged,
-            3,
-        );
-        assert_eq!(stats.n, 3);
-        assert!(stats.mean >= 0.0 && stats.mean <= 1.0);
+        let loads = [("xapian", 0.5), ("moses", 0.2), ("img-dnn", 0.2)];
+        let specs: Vec<RunSpec> = (0..3)
+            .map(|i| RunSpec {
+                seed: derive_seed(cfg.seed, i),
+                ..RunSpec::strategy(
+                    &cfg,
+                    MachineConfig::paper_xeon(),
+                    &mix,
+                    &loads,
+                    StrategyKind::Unmanaged,
+                )
+            })
+            .collect();
+        let samples: Vec<f64> = cfg
+            .engine()
+            .run_all(&specs)
+            .iter()
+            .map(|r| r.steady_entropy(cfg.steady()))
+            .collect();
+        let mean = samples.iter().sum::<f64>() / 3.0;
+        let std_dev = (samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / 2.0).sqrt();
+        assert!((0.0..=1.0).contains(&mean));
         assert!(
-            stats.std_dev < 0.1,
-            "steady-state entropy should be stable across seeds: {stats:?}"
+            std_dev < 0.1,
+            "steady-state entropy should be stable across seeds: {samples:?}"
         );
     }
 
@@ -207,13 +127,14 @@ mod tests {
             seed: 1,
         };
         let mix = mixes::fluidanimate_mix();
-        let r = run_strategy(
+        let r = RunSpec::strategy(
             &cfg,
             MachineConfig::paper_xeon(),
             &mix,
             &[("xapian", 0.2), ("moses", 0.2), ("img-dnn", 0.2)],
             StrategyKind::Unmanaged,
-        );
+        )
+        .execute();
         assert_eq!(r.observations.len(), cfg.windows());
     }
 }

@@ -82,7 +82,6 @@ mod resources;
 pub mod spacetime;
 mod surrogate;
 mod time;
-mod trace;
 
 pub use app::{AppId, AppKind, AppSpec, BeSpecBuilder, CacheProfile, LcSpecBuilder};
 pub use bandwidth::BandwidthModel;
@@ -100,4 +99,3 @@ pub use quantile::{percentile, percentile_in_place, TailEstimator};
 pub use resources::MachineConfig;
 pub use surrogate::{BeCalibration, LcCalibration, SteadyCalibration, Surrogate};
 pub use time::SimTime;
-pub use trace::{HistogramSummary, LatencyHistogram};

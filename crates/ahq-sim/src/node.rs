@@ -14,7 +14,6 @@ use crate::partition::Partition;
 use crate::quantile::{percentile_in_place, TailEstimator};
 use crate::resources::MachineConfig;
 use crate::time::SimTime;
-use crate::trace::LatencyHistogram;
 
 /// How long an application runs degraded after the scheduler changes its
 /// allocation (ms): cache refill, thread migration, context switches.
@@ -190,6 +189,9 @@ struct HotState {
     /// ∫ speed · threads dt over the current window for BE apps, thread-ms.
     window_speed_integral: Vec<f64>,
 }
+
+/// The tail quantile each LC app reports per window: the paper's p95.
+const TAIL_QUANTILE: f64 = 0.95;
 
 /// Minimum samples in the current window before the per-window percentile
 /// is preferred over the streaming ring estimate.
@@ -524,9 +526,6 @@ pub struct NodeSim {
     /// Discrete events processed since construction.
     events: u64,
     adjustments: u64,
-    tail_quantile: f64,
-    /// Per-app whole-run latency histograms, populated when tracing is on.
-    histograms: Option<Vec<LatencyHistogram>>,
 }
 
 impl NodeSim {
@@ -732,8 +731,6 @@ impl NodeSim {
             warm_stale: true,
             events: 0,
             adjustments: 0,
-            tail_quantile: 0.95,
-            histograms: None,
         };
         sim.recompute_rates();
         Ok(sim)
@@ -815,37 +812,6 @@ impl NodeSim {
         self.window = SimTime::from_ms(ms.max(1.0));
     }
 
-    /// Overrides the reported tail quantile (default 0.95, the paper's
-    /// p95; e.g. 0.99 for studies of deeper tails). Clamped to
-    /// `[0.5, 0.999]`.
-    pub fn set_tail_quantile(&mut self, q: f64) {
-        self.tail_quantile = if q.is_finite() {
-            q.clamp(0.5, 0.999)
-        } else {
-            0.95
-        };
-    }
-
-    /// Enables whole-run latency tracing: every completed request's
-    /// latency is recorded in a per-application [`LatencyHistogram`]
-    /// retrievable via [`NodeSim::latency_histogram`].
-    pub fn enable_tracing(&mut self) {
-        if self.histograms.is_none() {
-            self.histograms = Some(vec![LatencyHistogram::new(); self.apps.len()]);
-        }
-    }
-
-    /// The whole-run latency histogram of an LC application, if tracing
-    /// is enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownApp`] for unregistered names.
-    pub fn latency_histogram(&self, name: &str) -> Result<Option<&LatencyHistogram>, SimError> {
-        let id = self.app_id(name)?;
-        Ok(self.histograms.as_ref().map(|h| &h[id.index()]))
-    }
-
     /// Sets an LC application's offered load as a fraction of its nominal
     /// maximum load (Table IV style). A fraction of zero silences the
     /// application.
@@ -893,8 +859,7 @@ impl NodeSim {
             lc.tail.record(p);
         }
         // Pre-size the per-window sample buffer for the expected completion
-        // count, so enabling histograms or raising the load never grows it
-        // mid-window.
+        // count, so raising the load never grows it mid-window.
         let expected = (per_window.ceil() as usize).min(4096);
         if lc.window_samples.capacity() < expected {
             let additional = expected - lc.window_samples.len();
@@ -1322,9 +1287,6 @@ impl NodeSim {
                 lc.tail.record(latency);
                 lc.window_samples.push(latency);
                 lc.window_completions += 1;
-                if let Some(hists) = &mut self.histograms {
-                    hists[i].record(latency);
-                }
                 completed_any = true;
             } else {
                 j += 1;
@@ -1346,7 +1308,6 @@ impl NodeSim {
     fn collect_observation(&mut self, start: SimTime, end: SimTime) -> WindowObservation {
         let window_ms = end.since(start).as_ms().max(1e-9);
         let now = self.time;
-        let tail_quantile = self.tail_quantile;
         let mut lc_stats = Vec::with_capacity(self.apps.len());
         let mut be_stats = Vec::with_capacity(self.apps.len());
         for (i, app) in self.apps.iter_mut().enumerate() {
@@ -1356,9 +1317,9 @@ impl NodeSim {
                 // is a window-local multiset cleared at the next window
                 // start, so the order is free to give away.
                 let mut p95 = if lc.window_samples.len() >= WINDOW_P95_MIN_SAMPLES {
-                    percentile_in_place(&mut lc.window_samples, tail_quantile)
+                    percentile_in_place(&mut lc.window_samples, TAIL_QUANTILE)
                 } else {
-                    lc.tail.quantile(tail_quantile)
+                    lc.tail.quantile(TAIL_QUANTILE)
                 };
                 // Starvation floor: with zero completions this window and
                 // work outstanding, a latency monitor would report at least
@@ -1618,37 +1579,6 @@ mod tests {
             "starved victim should violate QoS, got {:?}",
             last.p95_ms
         );
-    }
-
-    #[test]
-    fn tracing_collects_full_run_histograms() {
-        let mut s = sim();
-        s.enable_tracing();
-        s.set_load("lc", 0.5).unwrap();
-        s.run_windows(4);
-        let h = s.latency_histogram("lc").unwrap().expect("tracing on");
-        assert!(h.count() > 100, "completions recorded: {}", h.count());
-        let summary = h.summary().unwrap();
-        assert!(summary.p99_ms >= summary.p50_ms);
-        // BE apps have no latencies; the histogram exists but stays empty.
-        let be = s.latency_histogram("be").unwrap().expect("tracing on");
-        assert_eq!(be.count(), 0);
-        assert!(s.latency_histogram("nope").is_err());
-        // Without tracing, None.
-        let s2 = sim();
-        assert!(s2.latency_histogram("lc").unwrap().is_none());
-    }
-
-    #[test]
-    fn deeper_tail_quantiles_report_higher_latency() {
-        let run = |q: f64| {
-            let mut s = NodeSim::new(MachineConfig::paper_xeon(), vec![lc_spec("lc")], 3).unwrap();
-            s.set_tail_quantile(q);
-            s.set_load("lc", 0.6).unwrap();
-            let obs = s.run_windows(6);
-            obs.last().unwrap().lc[0].p95_ms.unwrap()
-        };
-        assert!(run(0.99) > run(0.5), "p99 must exceed the median");
     }
 
     #[test]

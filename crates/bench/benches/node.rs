@@ -1,6 +1,6 @@
 //! Benchmarks of the node event path: end-to-end `run_window` throughput
-//! on the pinned 2LC+2BE paper-machine scenario (the `BENCH_node.json`
-//! baseline), and the rate-lookup microbench comparing a rate-memo hit
+//! on the pinned 2LC+2BE paper-machine scenario (the `perf_smoke` gate's
+//! scenario), and the rate-lookup microbench comparing a rate-memo hit
 //! against the direct solver with and without scratch buffers.
 
 use std::hint::black_box;

@@ -2,21 +2,19 @@
 //!
 //! Shared fixtures for the bench binaries in `benches/` (prebuilt
 //! simulations, measurement sets) and [`Bench`], the one timer they all
-//! report through. The benches themselves are organised as
+//! report through. The `perfbench` benchmark owns every end-to-end and
+//! per-layer number; the benches here time only what it does not:
 //!
 //! * `theory` — entropy algebra, series interpolation, percentiles;
 //! * `simulator` — monitoring-window throughput, the contention model,
 //!   the space-time model (Fig. 4);
-//! * `schedulers` — a scheduling round per strategy (Table II / Fig. 8
-//!   scale), covering ARQ's Algorithm 1, PARTIES' FSM and CLITE's BO;
 //! * `bayesopt` — GP fit/predict and candidate suggestion (CLITE's inner
 //!   loop);
 //! * `figures` — one reduced-scale regeneration step per paper artifact
 //!   (Table II row, Fig. 2 budget point, Fig. 8 sweep cell, Fig. 13
 //!   trace slice);
-//! * `executor`, `quantile`, `node`, `cluster`, `ctrl` — the run engine,
-//!   the tail quantile, the node event path, cluster round steps and the
-//!   control plane.
+//! * `quantile`, `node` — the tail quantile kernels and the node event
+//!   path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -114,8 +112,8 @@ pub fn standard_sim(seed: u64) -> NodeSim {
 }
 
 /// The paper-pair scenario of the node benches: 2 LC + 2 BE on the paper
-/// machine, the configuration the `BENCH_node.json` ns/window baseline is
-/// pinned against. Exercises the memoized rate cache exactly as the event
+/// machine, the configuration the `perf_smoke` ns/window gate is pinned
+/// against. Exercises the memoized rate cache exactly as the event
 /// loop does (a handful of busy-thread vectors cycling between
 /// repartitions).
 pub fn paper_pair_sim(seed: u64) -> NodeSim {

@@ -1,7 +1,8 @@
 //! Tier-1 pins for the `gctrl` family: worker-count invariance of the
-//! rendered report and the controller's headline win over static
-//! entropy-aware placement.
+//! rendered report, a pinned Full-fidelity controller run and the
+//! controller's headline win over static entropy-aware placement.
 
+use ahq_core::stable_hash128;
 use ahq_experiments::{gctrl, ExpConfig, ExpContext};
 
 /// `repro gctrl` output at 256 nodes must be byte-identical for any
@@ -116,5 +117,44 @@ fn migration_cost_accounting_is_consistent() {
         per_round_sum == total || per_round_sum + 1 == total,
         "per-round disturbance counters must sum to the report totals \
          (modulo one final-round rollback): {per_round_sum} vs {total}"
+    );
+}
+
+/// Pins a Full-fidelity 64-node x 12-round `ctrl+learned` run (the
+/// quick `repro gctrl` horizon) to exact placement and migration counters
+/// and a digest of its report. The `--jobs 1` vs N test cannot see a
+/// drift both sides share; this one can. Twelve rounds is the shortest
+/// quick horizon in which the controller both moves and rolls back.
+#[test]
+fn full_fidelity_controller_run_matches_its_pinned_counters() {
+    let mut cfg = ExpContext::with_jobs(
+        ExpConfig {
+            quick: true,
+            seed: 42,
+        },
+        2,
+    );
+    cfg.cluster.rounds = Some(12);
+    let arms = gctrl::arms();
+    let learned = arms
+        .iter()
+        .find(|a| a.name == "ctrl+learned")
+        .expect("learned arm exists");
+    let report = gctrl::run_arm(&cfg, 64, learned);
+    assert_eq!(
+        (
+            report.placements,
+            report.migrations,
+            report.ctrl_migrations,
+            report.ctrl_rollbacks,
+            report.cold_starts
+        ),
+        (240, 4, 5, 1, 4),
+        "placements, migrations, ctrl migrations, rollbacks, cold starts"
+    );
+    assert_eq!(
+        stable_hash128(format!("{report:?}").as_bytes()),
+        0x67a3328cba7a5099dfeaffa007f4d6c7,
+        "the report's Debug text drifted"
     );
 }

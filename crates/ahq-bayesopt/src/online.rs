@@ -104,6 +104,10 @@ impl WeightGrid {
     }
 }
 
+/// An exploration epoch runs every this many epochs: 2 alternates explore
+/// and exploit.
+const EXPLORE_EVERY: usize = 2;
+
 /// Epoch-by-epoch weight optimization: keep a current vector in force,
 /// observe one objective value per epoch, and move to the next vector.
 ///
@@ -119,7 +123,6 @@ pub struct OnlineTuner {
     opt: BayesOpt,
     candidates: Vec<Vec<f64>>,
     current: Vec<f64>,
-    explore_every: usize,
     epoch: usize,
 }
 
@@ -143,17 +146,8 @@ impl OnlineTuner {
             opt: BayesOpt::new(kernel, 2, seed),
             candidates,
             current: start,
-            explore_every: 2,
             epoch: 0,
         }
-    }
-
-    /// How often an exploration epoch runs (default 2: alternate
-    /// explore / exploit). `1` explores every epoch; larger values spend
-    /// more epochs on the incumbent.
-    pub fn with_explore_every(mut self, explore_every: usize) -> Self {
-        self.explore_every = explore_every.max(1);
-        self
     }
 
     /// The weight vector currently in force.
@@ -170,7 +164,7 @@ impl OnlineTuner {
     /// weights in force and returns the vector for the next epoch.
     pub fn advance(&mut self, objective: f64) -> &[f64] {
         self.opt.observe(self.current.clone(), objective);
-        let explore = self.epoch.is_multiple_of(self.explore_every);
+        let explore = self.epoch.is_multiple_of(EXPLORE_EVERY);
         self.epoch += 1;
         self.current = if explore {
             self.opt.suggest(&self.candidates).to_vec()
@@ -266,7 +260,7 @@ mod tests {
     #[test]
     fn exploitation_revisits_the_incumbent() {
         let grid = WeightGrid::new(vec![WeightAxis::new("w", vec![0.0, 1.0, 2.0])]);
-        // explore_every = 2: epoch 0 explores, epoch 1 exploits.
+        // EXPLORE_EVERY = 2: epoch 0 explores, epoch 1 exploits.
         let mut tuner = OnlineTuner::new(&grid, vec![1.0], 5);
         tuner.advance(3.0); // observe start=1.0 at 3.0 (incumbent)
         let exploit = tuner.advance(-1.0).to_vec();

@@ -62,7 +62,7 @@ pub struct Migration {
 /// The coefficients of [`EntropyAware`]'s predicted post-placement score.
 /// Defaults are the hand-tuned constants the placer shipped with; the
 /// cluster controller can learn better ones online (GP + expected
-/// improvement over a [`ahq_bayesopt::WeightGrid`]-style candidate set)
+/// improvement over a `ahq_bayesopt::WeightGrid`-style candidate set)
 /// and install them through [`Placer::set_weights`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementWeights {

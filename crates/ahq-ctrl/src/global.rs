@@ -7,7 +7,47 @@ use ahq_cluster::{
 use ahq_sched::Blacklist;
 use ahq_sim::AppKind;
 
-use crate::config::CtrlConfig;
+/// Rounds of cluster history required before the controller may plan its
+/// first move — it needs a pre-move baseline to judge against.
+const MIN_HISTORY_ROUNDS: usize = 2;
+
+/// Minimum donor-minus-recipient gap in recent mean `E_S` for a move to be
+/// worth proposing. Below this the fleet is considered balanced and the
+/// controller stays idle.
+const HOT_MARGIN: f64 = 0.05;
+
+/// A committed move is rolled back when the round's cluster-mean `E_S`
+/// exceeds the pre-move baseline by more than this epsilon.
+const REGRESS_EPSILON: f64 = 0.01;
+
+/// Rounds a donor node stays blacklisted after one of its moves is rolled
+/// back — the cluster analogue of node-level ARQ's 60 s region blacklist.
+const COOLDOWN_ROUNDS: f64 = 8.0;
+
+/// Rounds per tuning epoch: the tuner observes the mean cluster `E_S` over
+/// this many rounds as one (noisy) objective sample for the weight vector
+/// in force.
+const EPOCH_ROUNDS: usize = 2;
+
+/// Seed for the tuner's expected-improvement tie-breaking.
+const TUNE_SEED: u64 = 0xC11E;
+
+/// After this many completed epochs the tuner freezes: it pins the
+/// incumbent (best mean objective) and stops exploring. An online
+/// controller pays live entropy for every exploratory epoch, so the search
+/// gets a budget and the steady state runs the winner.
+const FREEZE_AFTER_EPOCHS: usize = 5;
+
+/// The controller's one switch. Its thresholds are the module constants
+/// above: the node-level ARQ constants translated to cluster time, where
+/// one round is the controller's clock tick the way one steady window is
+/// the node scheduler's.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CtrlConfig {
+    /// Online weight learning for the cluster's tunable placer; `false`
+    /// runs the pure ARQ migration loop with static weights.
+    pub tune: bool,
+}
 
 /// The discrete weight space the tuner searches. Each axis brackets the
 /// hand-tuned default of the corresponding [`PlacementWeights`] field, so
@@ -35,7 +75,6 @@ struct Pending {
 /// epoch-level GP weight learning. See the crate docs for the loop.
 #[derive(Debug)]
 pub struct GlobalArq {
-    config: CtrlConfig,
     blacklist: Blacklist<usize>,
     pending: Option<Pending>,
     prev_mean: Option<f64>,
@@ -48,16 +87,14 @@ impl GlobalArq {
     /// over [`default_weight_grid`] starts from the default placement
     /// weights so the first epoch measures the untuned baseline.
     pub fn new(config: CtrlConfig) -> Self {
-        let tuner = config.tune.as_ref().map(|t| {
+        let tuner = config.tune.then(|| {
             OnlineTuner::new(
                 &default_weight_grid(),
                 PlacementWeights::default().to_vec(),
-                t.seed,
+                TUNE_SEED,
             )
-            .with_explore_every(t.explore_every)
         });
         GlobalArq {
-            config,
             blacklist: Blacklist::new(),
             pending: None,
             prev_mean: None,
@@ -80,11 +117,6 @@ impl GlobalArq {
     fn recipient_score(view: &NodeView) -> f64 {
         view.recent_es.unwrap_or(0.0) + view.occupancy_with(0)
     }
-
-    /// Whether the node hosts an app the controller is allowed to move.
-    fn migratable(&self, view: &NodeView) -> bool {
-        view.be_apps > 0 || (self.config.allow_lc && view.apps > view.be_apps)
-    }
 }
 
 impl Controller for GlobalArq {
@@ -100,7 +132,7 @@ impl Controller for GlobalArq {
         // No baseline yet — planning before history exists would leave
         // the rollback check with nothing to compare against.
         let baseline = self.prev_mean?;
-        if round < self.config.min_history_rounds {
+        if round < MIN_HISTORY_ROUNDS {
             return None;
         }
         let now = round as f64;
@@ -113,8 +145,8 @@ impl Controller for GlobalArq {
             if v.recent_es.is_none() || self.blacklist.active(&v.index, now) {
                 continue;
             }
-            if !self.migratable(v) {
-                continue;
+            if v.apps == 0 {
+                continue; // nothing to give
             }
             if donor.is_none_or(|d| Self::donor_score(v) > Self::donor_score(d)) {
                 donor = Some(v);
@@ -137,7 +169,7 @@ impl Controller for GlobalArq {
         let recipient = recipient?;
 
         let gap = donor.recent_es.unwrap_or(0.0) - recipient.recent_es.unwrap_or(0.0);
-        if gap <= self.config.hot_margin {
+        if gap <= HOT_MARGIN {
             return None;
         }
 
@@ -164,26 +196,24 @@ impl Controller for GlobalArq {
         let mut verdict = ControlVerdict::default();
 
         if let Some(pending) = self.pending.take() {
-            if obs.applied.is_some() && mean > pending.baseline + self.config.regress_epsilon {
+            if obs.applied.is_some() && mean > pending.baseline + REGRESS_EPSILON {
                 // The speculative move made the cluster worse: restore the
                 // pre-move placement and put the donor on cooldown so the
                 // controller does not immediately re-propose the same bad
                 // move.
                 verdict.rollback = true;
-                self.blacklist.protect(
-                    pending.donor,
-                    obs.round as f64 + self.config.cooldown_rounds,
-                );
+                self.blacklist
+                    .protect(pending.donor, obs.round as f64 + COOLDOWN_ROUNDS);
             }
         }
         self.prev_mean = Some(mean);
 
-        if let (Some(tuner), Some(tune)) = (self.tuner.as_mut(), self.config.tune.as_ref()) {
+        if let Some(tuner) = self.tuner.as_mut() {
             self.epoch_means.push(mean);
-            if self.epoch_means.len() >= tune.epoch_rounds.max(1) {
+            if self.epoch_means.len() >= EPOCH_ROUNDS {
                 // The GP maximizes, the cluster minimizes entropy.
                 let avg: f64 = self.epoch_means.iter().sum::<f64>() / self.epoch_means.len() as f64;
-                let next = if tuner.epochs() < tune.freeze_after_epochs {
+                let next = if tuner.epochs() < FREEZE_AFTER_EPOCHS {
                     tuner.advance(-avg).to_vec()
                 } else {
                     // Search budget spent: pin the incumbent and stop
@@ -204,7 +234,6 @@ impl Controller for GlobalArq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TuneConfig;
     use ahq_cluster::{AppliedMove, ClusterWindowStat};
     use ahq_sim::MachineConfig;
 
@@ -289,7 +318,7 @@ mod tests {
         observe_round(&mut ctrl, 0, 0.5);
         observe_round(&mut ctrl, 1, 0.5);
         let views = [view(0, 0.50, 1, 0), view(1, 0.52, 1, 0)];
-        assert_eq!(ctrl.plan(2, &views), None, "gap below hot_margin");
+        assert_eq!(ctrl.plan(2, &views), None, "gap below HOT_MARGIN");
     }
 
     #[test]
@@ -300,14 +329,6 @@ mod tests {
         let views = [view(0, 0.9, 0, 2), view(1, 0.1, 0, 0)];
         let mv = ctrl.plan(2, &views).expect("LC fallback");
         assert_eq!(mv.kind, AppKind::Lc);
-
-        let mut strict = GlobalArq::new(CtrlConfig {
-            allow_lc: false,
-            ..CtrlConfig::default()
-        });
-        observe_round(&mut strict, 0, 0.5);
-        observe_round(&mut strict, 1, 0.5);
-        assert_eq!(strict.plan(2, &views), None, "LC moves disabled");
     }
 
     #[test]
@@ -335,8 +356,8 @@ mod tests {
         // The donor is on cooldown: the same hot views no longer yield a
         // plan from node 0...
         assert_eq!(ctrl.plan(3, &views), None, "donor blacklisted");
-        // ...until cooldown_rounds have elapsed.
-        let later = 2 + CtrlConfig::default().cooldown_rounds as usize + 1;
+        // ...until COOLDOWN_ROUNDS have elapsed.
+        let later = 2 + COOLDOWN_ROUNDS as usize + 1;
         assert!(ctrl.plan(later, &views).is_some(), "cooldown expires");
     }
 
@@ -381,26 +402,19 @@ mod tests {
 
     #[test]
     fn tuner_emits_weights_each_epoch() {
-        let mut ctrl = GlobalArq::new(CtrlConfig {
-            tune: Some(TuneConfig {
-                epoch_rounds: 3,
-                ..TuneConfig::default()
-            }),
-            ..CtrlConfig::default()
-        });
+        let mut ctrl = GlobalArq::new(CtrlConfig { tune: true });
         assert_eq!(ctrl.name(), "global-arq+learned");
         let mut emitted = 0;
         for round in 0..12 {
             let verdict = observe_round(&mut ctrl, round, 0.4 + 0.01 * round as f64);
-            if verdict.weights.is_some() {
-                emitted += 1;
-            } else {
-                assert!(
-                    (round + 1) % 3 != 0,
-                    "epoch boundary must emit weights (round {round})"
-                );
-            }
+            let boundary = (round + 1) % EPOCH_ROUNDS == 0;
+            assert_eq!(
+                verdict.weights.is_some(),
+                boundary,
+                "weights change exactly at epoch boundaries (round {round})"
+            );
+            emitted += usize::from(boundary);
         }
-        assert_eq!(emitted, 4, "one weight update per 3-round epoch");
+        assert_eq!(emitted, 6, "one weight update per 2-round epoch");
     }
 }

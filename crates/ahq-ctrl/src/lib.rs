@@ -33,8 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod config;
 mod global;
 
-pub use config::{CtrlConfig, TuneConfig};
-pub use global::{default_weight_grid, GlobalArq};
+pub use global::{default_weight_grid, CtrlConfig, GlobalArq};

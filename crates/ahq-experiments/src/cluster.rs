@@ -335,7 +335,6 @@ pub fn run(cfg: &ExpContext) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahq_cluster::SequentialRunner;
 
     fn tiny(cfg: &ExpContext, placer: PlacerKind) -> ClusterConfig {
         let mut config = scenario(cfg, 8, placer, LocalSched::Unmanaged);
@@ -343,23 +342,6 @@ mod tests {
         config.churn.initial_apps = 6;
         config.churn.arrivals_per_round = 1.0;
         config
-    }
-
-    #[test]
-    fn engine_runner_matches_sequential() {
-        let cfg = ExpContext::new(ExpConfig {
-            quick: true,
-            seed: 13,
-        });
-        let engine_side = run_cluster(
-            tiny(&cfg, PlacerKind::EntropyAware),
-            &EngineRunner::new(cfg.engine()),
-        );
-        let sequential = run_cluster(
-            tiny(&cfg, PlacerKind::EntropyAware),
-            &SequentialRunner::default(),
-        );
-        assert_eq!(format!("{engine_side:?}"), format!("{sequential:?}"),);
     }
 
     #[test]

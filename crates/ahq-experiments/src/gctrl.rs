@@ -16,7 +16,7 @@
 //! `repro gctrl --jobs N` is byte-identical for any `N`.
 
 use ahq_cluster::{ClusterEntropyReport, ClusterSim, LocalSched, PlacerKind};
-use ahq_ctrl::{CtrlConfig, GlobalArq, TuneConfig};
+use ahq_ctrl::{CtrlConfig, GlobalArq};
 
 use crate::cluster::{scenario, EngineRunner};
 use crate::exec::ExpContext;
@@ -54,10 +54,7 @@ pub fn arms() -> Vec<Arm> {
         Arm {
             name: "ctrl+learned",
             placer: PlacerKind::Learned,
-            ctrl: Some(CtrlConfig {
-                tune: Some(TuneConfig::default()),
-                ..CtrlConfig::default()
-            }),
+            ctrl: Some(CtrlConfig { tune: true }),
         },
     ]
 }
@@ -201,7 +198,7 @@ mod tests {
         assert_eq!(arms.len(), 4);
         assert!(arms.iter().filter(|a| a.ctrl.is_some()).count() == 2);
         assert_eq!(arms[3].placer, PlacerKind::Learned);
-        assert!(arms[3].ctrl.as_ref().is_some_and(|c| c.tune.is_some()));
+        assert!(arms[3].ctrl.as_ref().is_some_and(|c| c.tune));
     }
 
     #[test]

@@ -65,10 +65,8 @@ pub fn train_config(cfg: &ExpContext) -> TrainConfig {
     if let Some(generations) = cfg.train.generations {
         config.generations = generations.max(1);
     }
-    match cfg.train.ladder {
-        Some(false) => config.ladder = None,
-        Some(true) => config.ladder = Some(ahq_train::LadderSpec::default()),
-        None => {}
+    if let Some(ladder) = cfg.train.ladder {
+        config.ladder = ladder;
     }
     config
 }
@@ -361,11 +359,11 @@ mod tests {
     #[test]
     fn eval_mode_override_controls_the_ladder() {
         let mut cfg = quick_cfg();
-        assert!(train_config(&cfg).ladder.is_some(), "ladder is the default");
+        assert!(train_config(&cfg).ladder, "ladder is the default");
         cfg.train.ladder = Some(false);
-        assert!(train_config(&cfg).ladder.is_none(), "--eval full");
+        assert!(!train_config(&cfg).ladder, "--eval full");
         cfg.train.ladder = Some(true);
-        assert!(train_config(&cfg).ladder.is_some(), "--eval ladder");
+        assert!(train_config(&cfg).ladder, "--eval ladder");
     }
 
     #[test]

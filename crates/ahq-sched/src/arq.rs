@@ -31,11 +31,6 @@ pub struct ArqConfig {
     /// entropy carries sampling noise of a few hundredths; an adjustment is
     /// only cancelled when the increase clearly exceeds that noise floor.
     pub entropy_epsilon: f64,
-    /// Number of recent windows whose median is used as the entropy
-    /// feedback signal. The default of 1 uses the instantaneous value —
-    /// the rollback check needs to see the previous adjustment's effect
-    /// immediately; larger values damp spikes at the cost of feedback lag.
-    pub smoothing_windows: usize,
     /// How the shared region's cores are divided. The paper's ARQ gives
     /// LC applications strict priority there; `Fair` exists for ablation.
     pub sharing: SharingPolicy,
@@ -53,7 +48,6 @@ impl Default for ArqConfig {
             beneficiary_ret: 0.05,
             blacklist_secs: 60.0,
             entropy_epsilon: 0.025,
-            smoothing_windows: 1,
             sharing: SharingPolicy::LcPriority,
             throttle_be: false,
         }
@@ -85,7 +79,6 @@ pub struct Arq {
     last: Option<SpeculativeMove<Partition, Region>>,
     blacklist: Blacklist<Region>,
     fsm: ResourceKind,
-    recent_entropy: Vec<f64>,
 }
 
 impl Arq {
@@ -103,21 +96,7 @@ impl Arq {
             last: None,
             blacklist: Blacklist::new(),
             fsm: ResourceKind::Cores,
-            recent_entropy: Vec::new(),
         }
-    }
-
-    /// The smoothed (median-of-recent-windows) entropy signal.
-    fn smoothed_entropy(&mut self, entropy: f64) -> f64 {
-        self.recent_entropy.push(entropy);
-        let n = self.config.smoothing_windows.max(1);
-        if self.recent_entropy.len() > n {
-            let excess = self.recent_entropy.len() - n;
-            self.recent_entropy.drain(..excess);
-        }
-        let mut sorted = self.recent_entropy.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted[sorted.len() / 2]
     }
 
     fn blacklisted(&self, region: Region, now_s: f64) -> bool {
@@ -370,7 +349,9 @@ impl Scheduler for Arq {
             ctx.apps.iter().any(|a| a.kind() == AppKind::Lc),
             "ARQ manages mixes with at least one LC application"
         );
-        let entropy = self.smoothed_entropy(ctx.entropy.system);
+        // The window's own entropy is the feedback signal: the rollback
+        // check must see the previous adjustment's effect immediately.
+        let entropy = ctx.entropy.system;
         let ret = Self::ret_array(ctx);
 
         // Algorithm 1 lines 9-11: cancel an adjustment that made things

@@ -2,64 +2,46 @@ use ahq_bayesopt::{BayesOpt, RbfKernel};
 use ahq_core::rng::Rng;
 use ahq_sim::{AppKind, AppSpec, MachineConfig, Partition, RegionAlloc, SharingPolicy};
 
-use crate::parties::{equal_split, MEMBW_UNIT_PCT};
+use crate::parties::equal_split;
 use crate::{SchedContext, Scheduler};
 
-/// Tuning knobs of the [`Clite`] reimplementation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CliteConfig {
-    /// Configurations sampled by Bayesian optimization before exploiting
-    /// the best one.
-    pub explore_budget: usize,
-    /// Random configurations in the candidate pool.
-    pub candidate_pool: usize,
-    /// Random samples before the GP drives the search.
-    pub initial_random: usize,
-    /// Monitoring windows each sampled configuration runs. The first
-    /// window is discarded (queues built under the previous configuration
-    /// drain through it); the score is the mean of the rest.
-    pub windows_per_sample: usize,
-    /// Consecutive violating windows during exploitation that trigger a
-    /// fresh exploration (the load must have shifted).
-    pub reexplore_after: usize,
-    /// Exploitation windows ignored before violations start counting —
-    /// queues built up during exploration need time to drain.
-    pub exploit_grace: usize,
-    /// Minimum seconds between exploration restarts.
-    pub restart_cooldown_s: f64,
-    /// During exploitation, probe a single-unit neighbour of the incumbent
-    /// every this many windows (hill-climbing refinement).
-    pub probe_every: usize,
-    /// A probe must beat the incumbent's rolling score by this margin to
-    /// be adopted — set above the per-window score noise so refinement
-    /// does not random-walk.
-    pub probe_margin: f64,
-    /// RNG seed for candidate generation and the optimizer.
-    pub seed: u64,
-    /// Whether candidates also partition memory bandwidth (one reservation
-    /// unit per application minimum, summing to the whole node). Off by
-    /// default: the published CLITE searches cores × ways, and the legacy
-    /// RNG draw sequence is preserved exactly when this is off.
-    pub partition_membw: bool,
-}
+/// Configurations sampled by Bayesian optimization before exploiting the
+/// best one.
+const EXPLORE_BUDGET: usize = 20;
 
-impl Default for CliteConfig {
-    fn default() -> Self {
-        CliteConfig {
-            explore_budget: 20,
-            candidate_pool: 300,
-            initial_random: 6,
-            windows_per_sample: 3,
-            reexplore_after: 8,
-            exploit_grace: 8,
-            restart_cooldown_s: 90.0,
-            probe_every: 4,
-            probe_margin: 0.01,
-            seed: 0xC11E,
-            partition_membw: false,
-        }
-    }
-}
+/// Random configurations in the candidate pool.
+const CANDIDATE_POOL: usize = 300;
+
+/// Random samples before the GP drives the search.
+const INITIAL_RANDOM: usize = 6;
+
+/// Monitoring windows each sampled configuration runs. The first window is
+/// discarded (queues built under the previous configuration drain through
+/// it); the score is the mean of the rest.
+const WINDOWS_PER_SAMPLE: usize = 3;
+
+/// Consecutive violating windows during exploitation that trigger a fresh
+/// exploration (the load must have shifted).
+const REEXPLORE_AFTER: usize = 8;
+
+/// Exploitation windows ignored before violations start counting — queues
+/// built up during exploration need time to drain.
+const EXPLOIT_GRACE: usize = 8;
+
+/// Minimum seconds between exploration restarts.
+const RESTART_COOLDOWN_S: f64 = 90.0;
+
+/// During exploitation, probe a single-unit neighbour of the incumbent
+/// every this many windows (hill-climbing refinement).
+const PROBE_EVERY: usize = 4;
+
+/// A probe must beat the incumbent's rolling score by this margin to be
+/// adopted — set above the per-window score noise so refinement does not
+/// random-walk.
+const PROBE_MARGIN: f64 = 0.01;
+
+/// RNG seed for candidate generation and the optimizer.
+const SEED: u64 = 0xC11E;
 
 #[derive(Debug, Clone)]
 struct Candidate {
@@ -97,16 +79,15 @@ struct Probe {
 /// Bayesian optimization.
 ///
 /// Exploration samples configurations from a pool of random strict
-/// partitions, scoring each over a few monitoring windows —
-/// `1 + mean(BE progress)` when every LC application meets its QoS target,
-/// else the mean QoS-satisfaction ratio (< 1) — and feeding a
-/// Gaussian-process optimizer with expected-improvement acquisition.
-/// Exploitation pins the best configuration and refines it with
+/// cores × ways partitions (the published search space), scoring each
+/// over a few monitoring windows — `1 + mean(BE progress)` when every LC
+/// application meets its QoS target, else the mean QoS-satisfaction
+/// ratio (< 1) — and feeding a Gaussian-process optimizer with
+/// expected-improvement acquisition. Exploitation pins the best configuration and refines it with
 /// single-unit hill-climbing probes; sustained violations (a load shift)
 /// restart the search after a cooldown.
 #[derive(Debug)]
 pub struct Clite {
-    config: CliteConfig,
     phase: Phase,
     opt: BayesOpt,
     candidates: Vec<Candidate>,
@@ -121,30 +102,20 @@ pub struct Clite {
 }
 
 impl Clite {
-    /// Creates CLITE with default settings.
+    /// Creates CLITE with the published search settings.
     pub fn new() -> Self {
-        Self::with_config(CliteConfig::default())
-    }
-
-    /// Creates CLITE with explicit settings.
-    pub fn with_config(config: CliteConfig) -> Self {
         Clite {
-            config,
             phase: Phase::Exploring {
-                left: config.explore_budget,
+                left: EXPLORE_BUDGET,
             },
-            opt: BayesOpt::new(
-                RbfKernel::new(0.5, 1.0, 1e-3),
-                config.initial_random,
-                config.seed,
-            ),
+            opt: BayesOpt::new(RbfKernel::new(0.5, 1.0, 1e-3), INITIAL_RANDOM, SEED),
             candidates: Vec::new(),
             current: None,
             windows_on_current: 0,
             sample_scores: Vec::new(),
             last_restart_s: 0.0,
             restarts: 0,
-            rng: Rng::seed_from_u64(config.seed ^ 0x9E37_79B9_7F4A_7C15),
+            rng: Rng::seed_from_u64(SEED ^ 0x9E37_79B9_7F4A_7C15),
         }
     }
 
@@ -155,24 +126,18 @@ impl Clite {
     }
 
     fn build_candidates(&mut self, machine: &MachineConfig, napps: usize) {
-        let mut rng = Rng::seed_from_u64(self.config.seed);
-        let with_membw = self.config.partition_membw;
-        let membw_units = 100 / MEMBW_UNIT_PCT;
-        let mut candidates = Vec::with_capacity(self.config.candidate_pool + 1);
+        let mut rng = Rng::seed_from_u64(SEED);
+        let mut candidates = Vec::with_capacity(CANDIDATE_POOL + 1);
         // Always include the equal split as a sane anchor.
         candidates.push(candidate_from_parts(
             equal_split(machine.cores, napps, &[]),
             equal_split(machine.llc_ways, napps, &[]),
-            with_membw.then(|| equal_split(membw_units, napps, &[])),
             machine,
         ));
-        while candidates.len() <= self.config.candidate_pool {
+        while candidates.len() <= CANDIDATE_POOL {
             let cores = random_composition(&mut rng, machine.cores, napps);
             let ways = random_composition(&mut rng, machine.llc_ways, napps);
-            // The membw draw comes after the legacy draws, so with the
-            // flag off the stream is untouched.
-            let membw = with_membw.then(|| random_composition(&mut rng, membw_units, napps));
-            candidates.push(candidate_from_parts(cores, ways, membw, machine));
+            candidates.push(candidate_from_parts(cores, ways, machine));
         }
         self.candidates = candidates;
     }
@@ -233,14 +198,14 @@ impl Clite {
     fn restart_exploration(&mut self) {
         self.restarts += 1;
         self.phase = Phase::Exploring {
-            left: self.config.explore_budget,
+            left: EXPLORE_BUDGET,
         };
         // Stale observations describe a different load; start fresh with a
         // derived seed to avoid replaying the identical trajectory.
         self.opt = BayesOpt::new(
             RbfKernel::new(0.5, 1.0, 1e-3),
-            self.config.initial_random,
-            self.config.seed.wrapping_add(self.restarts),
+            INITIAL_RANDOM,
+            SEED.wrapping_add(self.restarts),
         );
         self.windows_on_current = 0;
         self.sample_scores.clear();
@@ -251,7 +216,8 @@ impl Clite {
     /// (taking from a BE application or the slackest LC application);
     /// once everyone meets QoS, the move returns resources to the poorest
     /// BE application (improving the throughput term of the objective).
-    /// The resource kind alternates randomly. Respects the 1-unit floors.
+    /// The resource kind (cores or ways) is a fair coin flip. Respects the
+    /// 1-unit floors.
     fn neighbour(&mut self, ctx: &SchedContext<'_>) -> Option<Candidate> {
         let current = self.current.as_ref()?;
         let machine = ctx.machine;
@@ -275,21 +241,12 @@ impl Clite {
 
         for attempt in 0..16 {
             let mut allocs = current.allocs.clone();
-            // With membw partitioning off this is the published coin flip,
-            // drawn identically; the three-way choice only exists behind
-            // the flag.
-            let dim = if self.config.partition_membw {
-                self.rng.range_u32(0..3)
-            } else if self.rng.f64() < 0.5 {
-                0
-            } else {
-                1
-            };
+            let move_cores = self.rng.f64() < 0.5;
             let unit_count = |allocs: &[RegionAlloc], i: usize| -> u32 {
-                match dim {
-                    0 => allocs[i].cores,
-                    1 => allocs[i].ways,
-                    _ => allocs[i].membw_pct / MEMBW_UNIT_PCT,
+                if move_cores {
+                    allocs[i].cores
+                } else {
+                    allocs[i].ways
                 }
             };
             let has_units = |allocs: &[RegionAlloc], i: usize| unit_count(allocs, i) > 1;
@@ -335,29 +292,16 @@ impl Clite {
                     }
                 }
             };
-            match dim {
-                0 => {
-                    allocs[from].cores -= 1;
-                    allocs[to].cores += 1;
-                }
-                1 => {
-                    allocs[from].ways -= 1;
-                    allocs[to].ways += 1;
-                }
-                _ => {
-                    allocs[from].membw_pct -= MEMBW_UNIT_PCT;
-                    allocs[to].membw_pct += MEMBW_UNIT_PCT;
-                }
+            if move_cores {
+                allocs[from].cores -= 1;
+                allocs[to].cores += 1;
+            } else {
+                allocs[from].ways -= 1;
+                allocs[to].ways += 1;
             }
             let cores: Vec<u32> = allocs.iter().map(|a| a.cores).collect();
             let ways: Vec<u32> = allocs.iter().map(|a| a.ways).collect();
-            let membw = self.config.partition_membw.then(|| {
-                allocs
-                    .iter()
-                    .map(|a| a.membw_pct / MEMBW_UNIT_PCT)
-                    .collect()
-            });
-            return Some(candidate_from_parts(cores, ways, membw, machine));
+            return Some(candidate_from_parts(cores, ways, machine));
         }
         None
     }
@@ -369,41 +313,18 @@ impl Default for Clite {
     }
 }
 
-/// Assembles a candidate from per-app core and way counts, plus an
-/// optional bandwidth split (in [`MEMBW_UNIT_PCT`]-sized units). The
-/// x-vector gains a third block of dimensions only when the bandwidth
-/// split is present, so pools built with and without `partition_membw`
-/// are each internally consistent.
-fn candidate_from_parts(
-    cores: Vec<u32>,
-    ways: Vec<u32>,
-    membw_units: Option<Vec<u32>>,
-    machine: &MachineConfig,
-) -> Candidate {
-    let blocks = if membw_units.is_some() { 3 } else { 2 };
-    let mut x = Vec::with_capacity(cores.len() * blocks);
-    for &c in &cores {
-        x.push(c as f64 / machine.cores as f64);
-    }
-    for &w in &ways {
-        x.push(w as f64 / machine.llc_ways as f64);
-    }
-    if let Some(units) = &membw_units {
-        for &u in units {
-            x.push((u * MEMBW_UNIT_PCT) as f64 / 100.0);
-        }
-    }
+/// Assembles a candidate from per-app core and way counts; its x-vector
+/// is both blocks normalized to the machine's totals.
+fn candidate_from_parts(cores: Vec<u32>, ways: Vec<u32>, machine: &MachineConfig) -> Candidate {
+    let x = cores
+        .iter()
+        .map(|&c| c as f64 / machine.cores as f64)
+        .chain(ways.iter().map(|&w| w as f64 / machine.llc_ways as f64))
+        .collect();
     let allocs = cores
         .into_iter()
         .zip(ways)
-        .enumerate()
-        .map(|(i, (c, w))| {
-            let a = RegionAlloc::new(c, w);
-            match &membw_units {
-                Some(units) => a.with_membw(units[i] * MEMBW_UNIT_PCT),
-                None => a,
-            }
-        })
+        .map(|(c, w)| RegionAlloc::new(c, w))
         .collect();
     Candidate { x, allocs }
 }
@@ -472,7 +393,7 @@ impl Scheduler for Clite {
         }
 
         if let Phase::Exploring { left } = self.phase {
-            if self.windows_on_current < self.config.windows_per_sample.max(2) {
+            if self.windows_on_current < WINDOWS_PER_SAMPLE {
                 return None;
             }
             let sample_mean =
@@ -531,18 +452,18 @@ impl Clite {
         st: &mut ExploitState,
     ) -> ExploitAction {
         st.windows += 1;
-        let grace = st.windows <= self.config.exploit_grace;
+        let grace = st.windows <= EXPLOIT_GRACE;
 
-        // A probe in flight: give it windows_per_sample windows, then
+        // A probe in flight: give it WINDOWS_PER_SAMPLE windows, then
         // adopt or revert.
         if st.probe.is_some() {
-            if self.windows_on_current < self.config.windows_per_sample.max(2) {
+            if self.windows_on_current < WINDOWS_PER_SAMPLE {
                 return ExploitAction::Continue(None);
             }
             let probe_mean =
                 self.sample_scores.iter().sum::<f64>() / self.sample_scores.len() as f64;
             let Probe { candidate, base } = st.probe.take().expect("probe is some");
-            if probe_mean > base + self.config.probe_margin {
+            if probe_mean > base + PROBE_MARGIN {
                 // Adopt: the neighbour is the new incumbent.
                 st.rolling = probe_mean;
                 st.pinned = st.pinned.max(probe_mean);
@@ -566,8 +487,8 @@ impl Clite {
             } else {
                 st.violating_streak = 0;
             }
-            if st.violating_streak >= self.config.reexplore_after
-                && ctx.now_s - self.last_restart_s >= self.config.restart_cooldown_s
+            if st.violating_streak >= REEXPLORE_AFTER
+                && ctx.now_s - self.last_restart_s >= RESTART_COOLDOWN_S
             {
                 st.violating_streak = 0;
                 // Restart only when the pinned configuration performs far
@@ -581,7 +502,7 @@ impl Clite {
                     return ExploitAction::Restarted;
                 }
             }
-            if st.windows.is_multiple_of(self.config.probe_every) {
+            if st.windows.is_multiple_of(PROBE_EVERY) {
                 if let Some(candidate) = self.neighbour(ctx) {
                     let p = Partition::strict(candidate.allocs.clone());
                     // Probing starts a fresh sample accumulation; the
@@ -698,77 +619,6 @@ mod tests {
                 "exactly one unit moved: dc={dc} dw={dw}"
             );
             assert!(n.allocs.iter().all(|a| a.cores >= 1 && a.ways >= 1));
-        }
-    }
-
-    #[test]
-    fn membw_flag_extends_candidates_and_neighbours() {
-        let machine = MachineConfig::paper_xeon();
-        let mut clite = Clite::with_config(CliteConfig {
-            partition_membw: true,
-            ..CliteConfig::default()
-        });
-        clite.build_candidates(&machine, 4);
-        for c in &clite.candidates {
-            assert_eq!(c.x.len(), 12, "three blocks of four dimensions");
-            let total: u32 = c.allocs.iter().map(|a| a.membw_pct).sum();
-            assert_eq!(total, 100, "the whole node's bandwidth is split");
-            assert!(c
-                .allocs
-                .iter()
-                .all(|a| a.membw_pct >= MEMBW_UNIT_PCT && a.membw_pct % MEMBW_UNIT_PCT == 0));
-            assert!(Partition::strict(c.allocs.clone())
-                .validate(&machine)
-                .is_ok());
-        }
-        clite.current = Some(clite.candidates[0].clone());
-        let apps = vec![
-            AppSpec::lc("a").qos_threshold_ms(5.0).build().unwrap(),
-            AppSpec::lc("b").qos_threshold_ms(5.0).build().unwrap(),
-            AppSpec::be("c").build().unwrap(),
-            AppSpec::be("d").build().unwrap(),
-        ];
-        let partition = Partition::strict(clite.current.as_ref().unwrap().allocs.clone());
-        let obs = ahq_sim::WindowObservation {
-            window_index: 0,
-            start_ms: 0.0,
-            end_ms: 500.0,
-            lc: vec![],
-            be: vec![],
-        };
-        let entropy = ahq_core::EntropyModel::default().evaluate(&[], &[]);
-        let ctx = SchedContext {
-            machine: &machine,
-            apps: &apps,
-            partition: &partition,
-            obs: &obs,
-            entropy: &entropy,
-            now_s: 0.0,
-        };
-        for _ in 0..20 {
-            let nb = clite.neighbour(&ctx).expect("neighbour exists");
-            assert!(Partition::strict(nb.allocs.clone())
-                .validate(&machine)
-                .is_ok());
-            let base = &clite.current.as_ref().unwrap().allocs;
-            let diff = |f: fn(&RegionAlloc) -> u32| -> u32 {
-                nb.allocs
-                    .iter()
-                    .zip(base.iter())
-                    .map(|(a, b)| f(a).abs_diff(f(b)))
-                    .sum()
-            };
-            let (dc, dw, dm) = (
-                diff(|a| a.cores),
-                diff(|a| a.ways),
-                diff(|a| a.membw_pct) / MEMBW_UNIT_PCT,
-            );
-            assert_eq!(
-                dc + dw + dm,
-                2,
-                "exactly one unit moved in one dimension: dc={dc} dw={dw} dm={dm}"
-            );
-            assert!(nb.allocs.iter().all(|a| a.membw_pct >= MEMBW_UNIT_PCT));
         }
     }
 }

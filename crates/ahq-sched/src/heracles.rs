@@ -2,33 +2,21 @@ use ahq_sim::{AppKind, AppSpec, MachineConfig, Partition, RegionAlloc, SharingPo
 
 use crate::{SchedContext, Scheduler};
 
-/// Tuning knobs of the [`Heracles`] controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeraclesConfig {
-    /// Grow the BE allocation while every LC slack exceeds this.
-    pub grow_slack: f64,
-    /// Enter backoff (strip the BE allocation) when any LC slack falls
-    /// below this.
-    pub backoff_slack: f64,
-    /// Windows to remain in backoff before growth may resume.
-    pub backoff_windows: u64,
-    /// Upper bound on the cores the BE allocation may take.
-    pub max_be_cores: u32,
-    /// Upper bound on the LLC ways the BE allocation may take.
-    pub max_be_ways: u32,
-}
+/// Grow the BE allocation while every LC slack exceeds this.
+const GROW_SLACK: f64 = 0.15;
 
-impl Default for HeraclesConfig {
-    fn default() -> Self {
-        HeraclesConfig {
-            grow_slack: 0.15,
-            backoff_slack: 0.05,
-            backoff_windows: 4,
-            max_be_cores: 6,
-            max_be_ways: 12,
-        }
-    }
-}
+/// Enter backoff (strip the BE allocation) when any LC slack falls below
+/// this.
+const BACKOFF_SLACK: f64 = 0.05;
+
+/// Windows to remain in backoff before growth may resume.
+const BACKOFF_WINDOWS: u64 = 4;
+
+/// Upper bound on the cores the BE allocation may take.
+const MAX_BE_CORES: u32 = 6;
+
+/// Upper bound on the LLC ways the BE allocation may take.
+const MAX_BE_WAYS: u32 = 12;
 
 /// A Heracles-style threshold controller (Lo et al., ISCA 2015) — the
 /// classic ancestor of the paper's baselines, implemented as an extra
@@ -44,22 +32,15 @@ impl Default for HeraclesConfig {
 /// LC applications leave idle.
 #[derive(Debug, Clone)]
 pub struct Heracles {
-    config: HeraclesConfig,
     backoff_until: u64,
     window: u64,
     grow_cores_next: bool,
 }
 
 impl Heracles {
-    /// Creates the controller with default thresholds.
+    /// Creates the controller.
     pub fn new() -> Self {
-        Self::with_config(HeraclesConfig::default())
-    }
-
-    /// Creates the controller with explicit thresholds.
-    pub fn with_config(config: HeraclesConfig) -> Self {
         Heracles {
-            config,
             backoff_until: 0,
             window: 0,
             grow_cores_next: true,
@@ -110,8 +91,8 @@ impl Scheduler for Heracles {
         }
 
         // Backoff: any LC app too close to its target -> strip BE.
-        if min_slack < self.config.backoff_slack {
-            self.backoff_until = self.window + self.config.backoff_windows;
+        if min_slack < BACKOFF_SLACK {
+            self.backoff_until = self.window + BACKOFF_WINDOWS;
             let mut p = ctx.partition.clone();
             let mut changed = false;
             for &i in &be {
@@ -124,7 +105,7 @@ impl Scheduler for Heracles {
         }
 
         // Growth: everyone comfortable and not backing off.
-        if min_slack > self.config.grow_slack && self.window >= self.backoff_until {
+        if min_slack > GROW_SLACK && self.window >= self.backoff_until {
             let mut p = ctx.partition.clone();
             // Round-robin the BE apps; smallest allocation first.
             let target = *be
@@ -138,8 +119,8 @@ impl Scheduler for Heracles {
             let machine = ctx.machine;
             let be_cores: u32 = be.iter().map(|&i| p.isolated(i.into()).cores).sum();
             let be_ways: u32 = be.iter().map(|&i| p.isolated(i.into()).ways).sum();
-            let can_grow_cores = be_cores < self.config.max_be_cores && p.shared_cores(machine) > 1;
-            let can_grow_ways = be_ways < self.config.max_be_ways && p.shared_ways(machine) > 1;
+            let can_grow_cores = be_cores < MAX_BE_CORES && p.shared_cores(machine) > 1;
+            let can_grow_ways = be_ways < MAX_BE_WAYS && p.shared_ways(machine) > 1;
             if self.grow_cores_next && can_grow_cores {
                 alloc.cores += 1;
             } else if can_grow_ways {
@@ -242,14 +223,17 @@ mod tests {
 
     #[test]
     fn growth_respects_caps() {
-        let mut h = Heracles::with_config(HeraclesConfig {
-            max_be_cores: 1,
-            max_be_ways: 1,
-            ..HeraclesConfig::default()
-        });
+        let mut h = Heracles::new();
         let mut p = Partition::all_shared(2);
-        p.set_isolated(1.into(), RegionAlloc::new(1, 1));
+        p.set_isolated(1.into(), RegionAlloc::new(MAX_BE_CORES, MAX_BE_WAYS));
         assert!(decide_once(&mut h, &p, 2.0).is_none(), "caps reached");
+        // One unit under a cap, growth resumes on that dimension only.
+        p.set_isolated(1.into(), RegionAlloc::new(MAX_BE_CORES, MAX_BE_WAYS - 1));
+        let next = decide_once(&mut h, &p, 2.0).expect("grows ways");
+        assert_eq!(
+            next.isolated(1.into()),
+            RegionAlloc::new(MAX_BE_CORES, MAX_BE_WAYS)
+        );
     }
 
     #[test]

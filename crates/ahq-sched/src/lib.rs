@@ -18,6 +18,11 @@
 //!   the classic threshold controller (Lo et al., ISCA 2015) that grows
 //!   the BE allocation under comfortable slack and strips it on pressure.
 //!
+//! The three baselines run at their published settings, which are module
+//! constants. Only ARQ takes a configuration ([`ArqConfig`]): the
+//! ablation families and the policy search vary its thresholds, its
+//! sharing policy and its BE-throttle gate.
+//!
 //! The [`runner`] module drives a [`ahq_sim::NodeSim`] window by window,
 //! feeds observations to a scheduler, applies its decisions, and scores
 //! every window with the system entropy from `ahq-core`.
@@ -55,10 +60,10 @@ pub mod runner;
 mod unmanaged;
 
 pub use arq::{Arq, ArqConfig};
-pub use clite::{Clite, CliteConfig};
-pub use heracles::{Heracles, HeraclesConfig};
+pub use clite::Clite;
+pub use heracles::Heracles;
 pub use lcfirst::LcFirst;
-pub use parties::{Parties, PartiesConfig};
+pub use parties::Parties;
 pub use rollback::{Blacklist, SpeculativeMove};
 pub use runner::{run, run_with_hook, RunResult, ScheduledRun};
 pub use unmanaged::Unmanaged;

@@ -35,30 +35,17 @@ impl ResourceKind {
     }
 }
 
-/// Tuning knobs of the [`Parties`] reimplementation, defaulting to the
-/// thresholds of the original paper (slack below 5 % triggers an upsize,
-/// slack above 25 % everywhere permits a tentative downsize).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartiesConfig {
-    /// Upsize an application when its latency slack falls below this.
-    pub upsize_slack: f64,
-    /// Tentatively downsize only while every application's slack exceeds
-    /// this.
-    pub downsize_slack: f64,
-    /// After a reverted downsize, leave the application alone for this
-    /// many windows.
-    pub hold_windows: u64,
-}
+/// Upsize an application when its latency slack falls below this
+/// (the original PARTIES threshold, 5 %).
+const UPSIZE_SLACK: f64 = 0.05;
 
-impl Default for PartiesConfig {
-    fn default() -> Self {
-        PartiesConfig {
-            upsize_slack: 0.05,
-            downsize_slack: 0.25,
-            hold_windows: 10,
-        }
-    }
-}
+/// Tentatively downsize only while every application's slack exceeds this
+/// (the original PARTIES threshold, 25 %).
+const DOWNSIZE_SLACK: f64 = 0.25;
+
+/// After a reverted downsize, leave the application alone for this many
+/// windows.
+const HOLD_WINDOWS: u64 = 10;
 
 /// PARTIES (Chen, Delimitrou & Martínez, ASPLOS 2019), reimplemented as
 /// the paper's strongest strict-partitioning baseline.
@@ -85,7 +72,6 @@ impl Default for PartiesConfig {
 /// characteristic ping-ponging under pressure that ARQ avoids.
 #[derive(Debug, Clone)]
 pub struct Parties {
-    config: PartiesConfig,
     /// Per-app resource FSM state.
     fsm: HashMap<usize, ResourceKind>,
     /// Slack at the last upsize per app, to detect "didn't help".
@@ -98,15 +84,9 @@ pub struct Parties {
 }
 
 impl Parties {
-    /// Creates PARTIES with default thresholds.
+    /// Creates PARTIES with the original paper's thresholds.
     pub fn new() -> Self {
-        Self::with_config(PartiesConfig::default())
-    }
-
-    /// Creates PARTIES with explicit thresholds.
-    pub fn with_config(config: PartiesConfig) -> Self {
         Parties {
-            config,
             fsm: HashMap::new(),
             last_upsize_slack: HashMap::new(),
             pending_downsize: None,
@@ -238,8 +218,8 @@ impl Scheduler for Parties {
             usage.push((i, st.map(|s| s.mean_core_capacity).unwrap_or(0.0)));
             let tolerance = st
                 .map(|s| 1.0 - s.ideal_ms / s.qos_ms)
-                .unwrap_or(self.config.downsize_slack);
-            down_threshold.push((i, self.config.downsize_slack.min(0.6 * tolerance)));
+                .unwrap_or(DOWNSIZE_SLACK);
+            down_threshold.push((i, DOWNSIZE_SLACK.min(0.6 * tolerance)));
         }
 
         // 1. Revert a tentative downsize that caused a violation.
@@ -250,8 +230,7 @@ impl Scheduler for Parties {
                 .map(|(_, s)| *s < 0.0)
                 .unwrap_or(false);
             if violated {
-                self.hold_until
-                    .insert(victim, self.window + self.config.hold_windows);
+                self.hold_until.insert(victim, self.window + HOLD_WINDOWS);
                 return Some(before);
             }
         }
@@ -260,7 +239,7 @@ impl Scheduler for Parties {
         if let Some(&(victim_of_pressure, worst_slack)) = slacks
             .iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .filter(|(_, s)| *s < self.config.upsize_slack)
+            .filter(|(_, s)| *s < UPSIZE_SLACK)
         {
             let app = victim_of_pressure;
             // Switch resource type if the last upsize of this type did not
@@ -306,7 +285,7 @@ impl Scheduler for Parties {
                 .iter()
                 .find(|(j, _)| *j == i)
                 .map(|(_, t)| *t)
-                .unwrap_or(self.config.downsize_slack);
+                .unwrap_or(DOWNSIZE_SLACK);
             s > t
         });
         if comfortable {
@@ -392,7 +371,7 @@ fn donor_for(
                 .iter()
                 .find(|(j, _)| j == i)
                 .map(|(_, t)| *t)
-                .unwrap_or(0.25);
+                .unwrap_or(DOWNSIZE_SLACK);
             if *s <= t {
                 return false;
             }

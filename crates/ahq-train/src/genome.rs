@@ -134,9 +134,9 @@ impl Genome {
         }
     }
 
-    /// The ARQ configuration this genome encodes. `smoothing_windows`
-    /// and `sharing` stay at their defaults — they are structural
-    /// choices pinned by the paper's Algorithm 1, not search knobs.
+    /// The ARQ configuration this genome encodes. `sharing` stays at its
+    /// default — LC priority in the shared region is a structural choice
+    /// of the paper's Algorithm 1, not a search knob.
     pub fn arq_config(&self) -> ArqConfig {
         ArqConfig {
             victim_ret: self.victim_ret,
@@ -286,10 +286,7 @@ mod tests {
         let arq = g.arq_config();
         assert_eq!(arq.victim_ret, 0.17);
         assert!(arq.throttle_be);
-        assert_eq!(
-            arq.smoothing_windows,
-            ArqConfig::default().smoothing_windows
-        );
+        assert_eq!(arq.sharing, ArqConfig::default().sharing);
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! `ahq-experiments` — shared node jobs across candidates hit the run
 //! cache, and training output is byte-identical for any worker count.
 //!
+//! [`TrainConfig`] sets only what callers vary: the search budget
+//! (population, generations, refinement) and whether the successive-
+//! halving evaluation ladder screens candidates first. The GA's
+//! operators (two elites, 3-way tournaments, crossover 0.9, per-gene
+//! mutation 0.35 with a 0.2-of-range step) and the ladder's promotion
+//! rule (the top third) are constants of the trainer.
+//!
 //! ```
 //! use ahq_cluster::SequentialRunner;
 //! use ahq_train::{portfolio, train, TrainConfig};
@@ -44,4 +51,4 @@ pub use artifact::{ArtifactError, PolicyArtifact};
 pub use evaluate::{evaluate, evaluate_screen, Fitness};
 pub use genome::{Genome, GenomeBounds, GENES, GENE_NAMES};
 pub use portfolio::Scenario;
-pub use trainer::{train, GenerationStat, LadderSpec, TrainConfig, TrainOutcome};
+pub use trainer::{train, GenerationStat, TrainConfig, TrainOutcome};

@@ -12,15 +12,16 @@
 //! first *ranked* on a cheap screening rung — every portfolio scenario
 //! at a shortened horizon with the HI-FI/LO-FI fidelity ladder enabled
 //! ([`Scenario::screened`]), scored over all windows
-//! ([`evaluate_screen`]) — and only the top [`LadderSpec`] fraction
-//! is promoted to full-fidelity evaluation. Successive halving for a
-//! GA: most candidates are eliminated for a fraction of the cost, and
-//! the full-fidelity budget concentrates on plausible winners. The
-//! promotion rule is deterministic (screen fitness with submission
-//! index as tie-break), the best-ever policy and the reported baseline
-//! come from *full* evaluations only, and every random draw count is
-//! independent of rung outcomes — so artifacts stay byte-identical for
-//! any worker count, with or without a warm run cache.
+//! ([`evaluate_screen`]) — and only the top third (`PROMOTE_FRACTION`,
+//! at least `MIN_PROMOTE` = 1) is promoted to full-fidelity evaluation.
+//! Successive halving for a GA: most candidates are eliminated for a
+//! fraction of the cost, and the full-fidelity budget concentrates on
+//! plausible winners. The promotion rule is deterministic (screen
+//! fitness with submission index as tie-break), the best-ever policy and
+//! the reported baseline come from *full* evaluations only, and every
+//! random draw count is independent of rung outcomes — so artifacts stay
+//! byte-identical for any worker count, with or without a warm run
+//! cache.
 
 use std::collections::HashMap;
 
@@ -35,7 +36,32 @@ use crate::evaluate::{evaluate, evaluate_screen, Fitness};
 use crate::genome::{Genome, GenomeBounds, GENES};
 use crate::portfolio::Scenario;
 
-/// Knobs of the search procedure (not of the policies it searches).
+/// Top individuals copied unchanged into the next generation.
+const ELITES: usize = 2;
+
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+
+/// Probability a child mixes two parents (else clones the first).
+const CROSSOVER_PROB: f64 = 0.9;
+
+/// Per-gene mutation probability.
+const MUTATION_PROB: f64 = 0.35;
+
+/// Mutation step as a fraction of the gene's bound range.
+const MUTATION_SIGMA: f64 = 0.2;
+
+/// Fraction of each generation promoted from the screening rung to
+/// full-fidelity evaluation (rounded up).
+const PROMOTE_FRACTION: f64 = 1.0 / 3.0;
+
+/// Promotion floor — at least this many candidates reach full fidelity
+/// each generation, so the best-ever update never starves.
+const MIN_PROMOTE: usize = 1;
+
+/// Knobs of the search procedure (not of the policies it searches). The
+/// GA's operators — elitism, tournament size, crossover and mutation
+/// rates — are the module constants above.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Master seed; every stochastic choice derives from it.
@@ -44,55 +70,23 @@ pub struct TrainConfig {
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Top individuals copied unchanged into the next generation.
-    pub elites: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Probability a child mixes two parents (else clones the first).
-    pub crossover_prob: f64,
-    /// Per-gene mutation probability.
-    pub mutation_prob: f64,
-    /// Mutation step as a fraction of the gene's bound range.
-    pub mutation_sigma: f64,
     /// GP/EI refinement evaluations after the GA (0 disables).
     pub refine_iters: usize,
     /// Candidate neighborhood size the refinement scores EI over.
     pub refine_candidates: usize,
-    /// Multi-fidelity evaluation ladder; `None` evaluates every
+    /// Multi-fidelity evaluation ladder; `false` evaluates every
     /// candidate at full fidelity (the pre-ladder behavior).
-    pub ladder: Option<LadderSpec>,
+    pub ladder: bool,
     /// Scenarios every candidate is evaluated on.
     pub portfolio: Vec<Scenario>,
 }
 
-/// Successive-halving knobs of the evaluation ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderSpec {
-    /// Fraction of each generation promoted from the screening rung to
-    /// full-fidelity evaluation (rounded up).
-    pub promote_fraction: f64,
-    /// Promotion floor — at least this many candidates reach full
-    /// fidelity each generation, so the best-ever update never starves.
-    pub min_promote: usize,
-}
-
-impl Default for LadderSpec {
-    fn default() -> Self {
-        LadderSpec {
-            promote_fraction: 1.0 / 3.0,
-            min_promote: 1,
-        }
-    }
-}
-
-impl LadderSpec {
-    /// How many of `population` candidates are promoted to full
-    /// fidelity: `max(min_promote, ceil(population × fraction))`,
-    /// clamped to the population and never below one.
-    pub fn promote_count(&self, population: usize) -> usize {
-        let by_fraction = (population as f64 * self.promote_fraction).ceil() as usize;
-        by_fraction.max(self.min_promote).clamp(1, population)
-    }
+/// How many of `population` candidates the ladder promotes to full
+/// fidelity: `ceil(population × PROMOTE_FRACTION)`, at least
+/// `MIN_PROMOTE` and at most the population.
+fn promote_count(population: usize) -> usize {
+    let by_fraction = (population as f64 * PROMOTE_FRACTION).ceil() as usize;
+    by_fraction.clamp(MIN_PROMOTE, population)
 }
 
 impl TrainConfig {
@@ -104,14 +98,9 @@ impl TrainConfig {
             seed,
             population: 10,
             generations: 6,
-            elites: 2,
-            tournament: 3,
-            crossover_prob: 0.9,
-            mutation_prob: 0.35,
-            mutation_sigma: 0.2,
             refine_iters: 6,
             refine_candidates: 24,
-            ladder: Some(LadderSpec::default()),
+            ladder: true,
             portfolio,
         }
     }
@@ -243,9 +232,9 @@ impl Memo {
     }
 }
 
-fn tournament_pick<'a>(rng: &mut Rng, scored: &'a [(Genome, Fitness)], size: usize) -> &'a Genome {
+fn tournament_pick<'a>(rng: &mut Rng, scored: &'a [(Genome, Fitness)]) -> &'a Genome {
     let mut best = rng.range_usize(0..scored.len());
-    for _ in 1..size.max(1) {
+    for _ in 1..TOURNAMENT {
         let challenger = rng.range_usize(0..scored.len());
         if scored[challenger].1.cmp_key(&scored[best].1).is_lt() {
             best = challenger;
@@ -260,13 +249,9 @@ fn tournament_pick<'a>(rng: &mut Rng, scored: &'a [(Genome, Fitness)], size: usi
 /// raw scalars would not. Draws exactly as many RNG values as
 /// [`tournament_pick`], so the evaluation mode never shifts the
 /// downstream random stream structure.
-fn tournament_pick_ranked<'a>(
-    rng: &mut Rng,
-    ranked: &'a [(Genome, Fitness)],
-    size: usize,
-) -> &'a Genome {
+fn tournament_pick_ranked<'a>(rng: &mut Rng, ranked: &'a [(Genome, Fitness)]) -> &'a Genome {
     let mut best = rng.range_usize(0..ranked.len());
-    for _ in 1..size.max(1) {
+    for _ in 1..TOURNAMENT {
         let challenger = rng.range_usize(0..ranked.len());
         if challenger < best {
             best = challenger;
@@ -333,7 +318,7 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
     while population.len() < config.population {
         let genome = if population.len() <= config.population / 2 {
             let mut genes = incumbent.to_vec();
-            mutate(&mut rng, &mut genes, &bounds, 0.8, config.mutation_sigma);
+            mutate(&mut rng, &mut genes, &bounds, 0.8, MUTATION_SIGMA);
             Genome::from_vec(&genes, &bounds)
         } else {
             random_genome(&mut rng, &bounds)
@@ -348,15 +333,14 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
     // means every candidate pays full fidelity (the pre-ladder path).
     let screen_portfolio: Option<Vec<Scenario>> = config
         .ladder
-        .as_ref()
-        .map(|_| config.portfolio.iter().map(Scenario::screened).collect());
+        .then(|| config.portfolio.iter().map(Scenario::screened).collect());
 
     for generation in 0..config.generations {
         // `scored` is ranked best-first. On the ladder path the top
         // `promote` entries carry full-fidelity fitness and the tail
         // carries screen fitness; on the full path everything is full.
-        let scored: Vec<(Genome, Fitness)> = match (&config.ladder, &screen_portfolio) {
-            (Some(ladder), Some(screen)) => {
+        let scored: Vec<(Genome, Fitness)> = match &screen_portfolio {
+            Some(screen) => {
                 // Rung 1: rank the whole generation cheaply. Submission
                 // index breaks exact-score ties, so promotion is a pure
                 // function of the (deterministic) screen scores.
@@ -367,7 +351,7 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
                     .collect();
                 by_screen.sort_by(|a, b| a.1.cmp_key(&b.1).then(a.0.cmp(&b.0)));
                 // Rung 2: promote the top fraction to the real objective.
-                let promote = ladder.promote_count(config.population);
+                let promote = promote_count(config.population);
                 let mut promoted: Vec<(Genome, Fitness)> = by_screen
                     .iter()
                     .take(promote)
@@ -386,7 +370,7 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
                 );
                 promoted
             }
-            _ => {
+            None => {
                 let mut scored: Vec<(Genome, Fitness)> = population
                     .iter()
                     .map(|g| (g.clone(), memo.fitness(g, &config.portfolio, runner)))
@@ -411,32 +395,26 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
         }
         let mut next: Vec<Genome> = scored
             .iter()
-            .take(config.elites.min(scored.len()))
+            .take(ELITES.min(scored.len()))
             .map(|(g, _)| g.clone())
             .collect();
         while next.len() < config.population {
-            let (a, b) = if config.ladder.is_some() {
+            let (a, b) = if config.ladder {
                 // Mixed-rung list: select by rank, not by raw scalar.
-                let a = tournament_pick_ranked(&mut rng, &scored, config.tournament).clone();
-                let b = tournament_pick_ranked(&mut rng, &scored, config.tournament).clone();
+                let a = tournament_pick_ranked(&mut rng, &scored).clone();
+                let b = tournament_pick_ranked(&mut rng, &scored).clone();
                 (a, b)
             } else {
-                let a = tournament_pick(&mut rng, &scored, config.tournament).clone();
-                let b = tournament_pick(&mut rng, &scored, config.tournament).clone();
+                let a = tournament_pick(&mut rng, &scored).clone();
+                let b = tournament_pick(&mut rng, &scored).clone();
                 (a, b)
             };
-            let mut genes = if rng.f64() < config.crossover_prob {
+            let mut genes = if rng.f64() < CROSSOVER_PROB {
                 crossover(&mut rng, &a, &b)
             } else {
                 a.to_vec()
             };
-            mutate(
-                &mut rng,
-                &mut genes,
-                &bounds,
-                config.mutation_prob,
-                config.mutation_sigma,
-            );
+            mutate(&mut rng, &mut genes, &bounds, MUTATION_PROB, MUTATION_SIGMA);
             next.push(Genome::from_vec(&genes, &bounds));
         }
         population = next;
@@ -466,13 +444,7 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
         let mut candidate_genomes: Vec<Genome> = Vec::new();
         for _ in 0..config.refine_candidates {
             let mut genes = best.0.to_vec();
-            mutate(
-                &mut rng,
-                &mut genes,
-                &bounds,
-                0.6,
-                config.mutation_sigma * 0.5,
-            );
+            mutate(&mut rng, &mut genes, &bounds, 0.6, MUTATION_SIGMA * 0.5);
             let genome = Genome::from_vec(&genes, &bounds);
             candidates.push(normalize(&genome, &bounds));
             candidate_genomes.push(genome);
@@ -503,7 +475,7 @@ pub fn train(config: &TrainConfig, runner: &dyn NodeBatchRunner) -> TrainOutcome
         population: config.population,
         generations: config.generations,
         refined,
-        ladder: config.ladder.is_some(),
+        ladder: config.ladder,
         portfolio: config.portfolio.iter().map(|s| s.name.clone()).collect(),
         genome: best.0,
         fitness: best.1,
@@ -562,9 +534,9 @@ mod tests {
     #[test]
     fn ladder_cuts_full_evaluations_and_keeps_the_invariants() {
         let mut full_cfg = tiny_config(5);
-        full_cfg.ladder = None;
+        full_cfg.ladder = false;
         let ladder_cfg = tiny_config(5); // TrainConfig::new defaults the ladder on
-        assert!(ladder_cfg.ladder.is_some());
+        assert!(ladder_cfg.ladder);
         let runner = SequentialRunner::new();
         let full = train(&full_cfg, &runner);
         let lad = train(&ladder_cfg, &runner);
@@ -590,20 +562,10 @@ mod tests {
 
     #[test]
     fn promote_count_is_clamped_and_floored() {
-        let spec = LadderSpec::default();
-        assert_eq!(spec.promote_count(6), 2); // ceil(6/3)
-        assert_eq!(spec.promote_count(10), 4); // ceil(10/3)
-        assert_eq!(spec.promote_count(1), 1);
-        let tiny = LadderSpec {
-            promote_fraction: 0.01,
-            min_promote: 1,
-        };
-        assert_eq!(tiny.promote_count(4), 1, "floor of one full eval");
-        let all = LadderSpec {
-            promote_fraction: 2.0,
-            min_promote: 1,
-        };
-        assert_eq!(all.promote_count(4), 4, "clamped to the population");
+        assert_eq!(promote_count(6), 2); // ceil(6/3)
+        assert_eq!(promote_count(10), 4); // ceil(10/3)
+        assert_eq!(promote_count(2), 1, "floor of one full eval");
+        assert_eq!(promote_count(1), 1, "clamped to the population");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! trace at every monitoring window and feed
 //! [`ahq_sim::NodeSim::set_load`].
 
-use ahq_core::rng::Rng;
-
 /// A piecewise-constant load trace.
 ///
 /// ```
@@ -94,72 +92,6 @@ pub fn fig13_xapian_trace() -> LoadTrace {
     ])
 }
 
-/// A smooth diurnal (day/night) load shape sampled into a step trace:
-/// `base + amplitude * sin²(π t / period)`, clamped to `[0, 1.5]`.
-///
-/// ```
-/// use ahq_workloads::load::diurnal_trace;
-///
-/// let t = diurnal_trace(0.2, 0.6, 100.0, 20);
-/// assert!(t.load_at(0.0) < 0.3);            // trough at t = 0
-/// assert!(t.load_at(50.0) > 0.7);           // peak mid-period
-/// ```
-pub fn diurnal_trace(base: f64, amplitude: f64, period_s: f64, steps: usize) -> LoadTrace {
-    let steps = steps.max(2);
-    let period_s = if period_s.is_finite() && period_s > 0.0 {
-        period_s
-    } else {
-        60.0
-    };
-    let pts: Vec<(f64, f64)> = (0..steps)
-        .map(|i| {
-            let t = i as f64 / steps as f64 * period_s;
-            let phase = (std::f64::consts::PI * t / period_s).sin();
-            (t, (base + amplitude * phase * phase).clamp(0.0, 1.5))
-        })
-        .collect();
-    LoadTrace::steps(&pts)
-}
-
-/// A seeded bounded-random-walk load trace: each step moves the load by a
-/// uniform increment in `±max_step`, reflecting at `lo` and `hi`.
-/// Deterministic for a given seed — usable in reproducible experiments.
-///
-/// ```
-/// use ahq_workloads::load::random_walk_trace;
-///
-/// let a = random_walk_trace(0.5, 0.1, 0.1, 0.9, 1.0, 50, 7);
-/// let b = random_walk_trace(0.5, 0.1, 0.1, 0.9, 1.0, 50, 7);
-/// assert_eq!(a, b); // same seed, same trace
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn random_walk_trace(
-    start: f64,
-    max_step: f64,
-    lo: f64,
-    hi: f64,
-    step_s: f64,
-    steps: usize,
-    seed: u64,
-) -> LoadTrace {
-    let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut load = start.clamp(lo, hi);
-    let step_s = if step_s.is_finite() && step_s > 0.0 {
-        step_s
-    } else {
-        1.0
-    };
-    let pts: Vec<(f64, f64)> = (0..steps.max(1))
-        .map(|i| {
-            let delta = rng.range_f64(-max_step.abs()..=max_step.abs());
-            load = (load + delta).clamp(lo, hi);
-            (i as f64 * step_s, load)
-        })
-        .collect();
-    LoadTrace::steps(&pts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,30 +123,6 @@ mod tests {
     fn empty_steps_mean_silence() {
         let t = LoadTrace::steps(&[]);
         assert_eq!(t.load_at(42.0), 0.0);
-    }
-
-    #[test]
-    fn diurnal_trace_peaks_mid_period() {
-        let t = diurnal_trace(0.1, 0.8, 200.0, 40);
-        let trough = t.load_at(1.0);
-        let peak = t.load_at(100.0);
-        assert!(peak > trough + 0.5, "peak {peak} vs trough {trough}");
-        // Every level respects the clamp.
-        assert!(t.levels().iter().all(|&l| (0.0..=1.5).contains(&l)));
-    }
-
-    #[test]
-    fn random_walk_stays_in_bounds_and_is_seeded() {
-        let t = random_walk_trace(0.5, 0.2, 0.2, 0.8, 0.5, 200, 11);
-        assert!(t.levels().iter().all(|&l| (0.2..=0.8).contains(&l)));
-        assert_ne!(
-            random_walk_trace(0.5, 0.2, 0.2, 0.8, 0.5, 200, 11),
-            random_walk_trace(0.5, 0.2, 0.2, 0.8, 0.5, 200, 12),
-            "different seeds differ"
-        );
-        // Swapped bounds are tolerated.
-        let t = random_walk_trace(0.5, 0.2, 0.8, 0.2, 0.5, 10, 1);
-        assert!(t.levels().iter().all(|&l| (0.2..=0.8).contains(&l)));
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //! harness: worker-count invariance of `repro cluster`, a pinned
 //! 1,024-node ladder fleet and the entropy-aware placer's headline claim.
 
-use ahq_cluster::{run_cluster, FidelityMode, LocalSched, PlacerKind, SequentialRunner};
+use ahq_cluster::{
+    run_cluster, ClusterSim, FidelityMode, LocalSched, NodeBatchRunner, PlacerKind,
+    SequentialRunner,
+};
 use ahq_core::stable_hash128;
+use ahq_ctrl::{CtrlConfig, GlobalArq};
 use ahq_experiments::cluster::{scaled_scenario, scenario, ClusterOpts, EngineRunner};
 use ahq_experiments::{ExpConfig, ExpContext};
+use ahq_sched::ArqConfig;
+use ahq_sim::SharingPolicy;
 
 fn quick_cfg(jobs: usize) -> ExpContext {
     ExpContext::with_jobs(
@@ -31,18 +37,40 @@ fn sixty_four_nodes_are_byte_identical_for_any_job_count() {
     );
 }
 
+/// The engine-backed runner keys each node job by a `RunSpec`; the
+/// sequential reference builds the job's scheduler directly. A 64-node
+/// ARQ fleet under the learning controller exercises both ARQ arms of
+/// that mapping, untuned (`arq: None`) and tuned, and the cold-start
+/// warm-ups the controller's LC moves charge.
 #[test]
 fn engine_runner_is_equivalent_to_the_sequential_reference() {
-    let cfg = quick_cfg(4);
-    let mut config = scenario(&cfg, 16, PlacerKind::LeastLoaded, LocalSched::Unmanaged);
-    config.rounds = 3;
-    let engine_side = run_cluster(config.clone(), &EngineRunner::new(cfg.engine()));
-    let reference = run_cluster(config, &SequentialRunner::default());
-    assert_eq!(
-        format!("{engine_side:?}"),
-        format!("{reference:?}"),
-        "the engine-backed runner must match per-job execution exactly"
-    );
+    let cfg = quick_cfg(2);
+    let tuned = ArqConfig {
+        beneficiary_ret: 0.3,
+        sharing: SharingPolicy::Fair,
+        ..ArqConfig::default()
+    };
+    for arq in [None, Some(tuned)] {
+        let mut config = scenario(&cfg, 64, PlacerKind::Learned, LocalSched::Arq);
+        config.rounds = 12;
+        config.arq = arq;
+        let run = |runner: &dyn NodeBatchRunner| {
+            let mut sim = ClusterSim::new(config.clone());
+            sim.set_controller(Box::new(GlobalArq::new(CtrlConfig { tune: true })));
+            sim.run(runner)
+        };
+        let engine_side = run(&EngineRunner::new(cfg.engine()));
+        let reference = run(&SequentialRunner::default());
+        assert!(
+            engine_side.cold_starts > 0,
+            "the controller must charge cold starts ({arq:?})"
+        );
+        assert_eq!(
+            format!("{engine_side:?}"),
+            format!("{reference:?}"),
+            "the engine-backed runner must match per-job execution exactly ({arq:?})"
+        );
+    }
 }
 
 /// The churned 256-node ladder scenario the fidelity tests pin on.

@@ -2,7 +2,7 @@
 //! pipeline.
 
 use ahq_core::json::JsonValue;
-use ahq_core::{EntropyModel, QosElasticity, RelativeImportance};
+use ahq_core::{stable_hash128, EntropyModel, QosElasticity, RelativeImportance};
 use ahq_experiments::StrategyKind;
 use ahq_sched::{observe, run, RunResult};
 use ahq_sim::{MachineConfig, NodeSim};
@@ -66,6 +66,46 @@ fn end_to_end_determinism() {
             "{} must respond to the seed",
             strategy.name()
         );
+    }
+}
+
+/// Pins every strategy's full 90-window run (observations, entropy,
+/// partitions, counters) to a digest. Ninety windows take CLITE past its
+/// exploration phase into probing, so the pins cover each scheduler's
+/// steady-state decisions, not only its warm-up.
+#[test]
+fn every_strategy_matches_its_pinned_90_window_digest() {
+    let pinned: [(StrategyKind, u64, u128); 6] = [
+        (
+            StrategyKind::Unmanaged,
+            0,
+            0xe122378e342b8fda307caea615432fbf,
+        ),
+        (StrategyKind::LcFirst, 0, 0xc6c948c60e23e76b7f0c58871cf450f0),
+        (
+            StrategyKind::Parties,
+            37,
+            0xc88ceb0c7d0db0b9922fed7d1ee9e6a9,
+        ),
+        (StrategyKind::Clite, 25, 0xf5c9b99d155f3c6a6569978dafff50ee),
+        (StrategyKind::Arq, 28, 0x7ec599909a066bd5dafb078505f0a52d),
+        (
+            StrategyKind::Heracles,
+            18,
+            0xf4585f477451254d0a588b430eb81f15,
+        ),
+    ];
+    assert_eq!(pinned.map(|p| p.0), StrategyKind::extended());
+    for (strategy, adjustments, digest) in pinned {
+        let result = run_stack(strategy, 77, 90);
+        let got = stable_hash128(ahq_core::json::to_string(&result).as_bytes());
+        assert_eq!(
+            result.adjustments,
+            adjustments,
+            "{} adjustments",
+            strategy.name()
+        );
+        assert_eq!(got, digest, "{} run digest", strategy.name());
     }
 }
 

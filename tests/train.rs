@@ -2,9 +2,11 @@
 //! `train` / `replay` experiment families (`ahq-train` driven through
 //! the deterministic run engine).
 
+use ahq_cluster::SequentialRunner;
+use ahq_core::stable_hash128;
 use ahq_experiments::train::{run_replay_arm, run_search};
 use ahq_experiments::{ExpConfig, ExpContext};
-use ahq_train::{Genome, GenomeBounds, PolicyArtifact};
+use ahq_train::{portfolio, train, Genome, GenomeBounds, PolicyArtifact, TrainConfig};
 
 fn train_ctx(jobs: usize) -> ExpContext {
     let mut cfg = ExpContext::with_jobs(
@@ -33,6 +35,19 @@ fn genome_round_trips_through_core_json() {
     let back: Genome = ahq_core::json::from_str(&text).expect("genome deserializable");
     assert_eq!(back, genome);
     assert_eq!(back.to_vec(), genome.to_vec());
+}
+
+/// Pins a tiny search (4 genomes x 2 generations, ladder and GP/EI
+/// refinement on) to the digest of its emitted artifact, so any change
+/// to the GA's selection, crossover, mutation or promotion shows.
+#[test]
+fn tiny_search_artifact_matches_its_pinned_digest() {
+    let mut config = TrainConfig::new(7, vec![portfolio::churned(6, 3, 2, 5)]);
+    config.population = 4;
+    config.generations = 2;
+    let out = train(&config, &SequentialRunner::new());
+    let got = stable_hash128(out.artifact.to_json_string().as_bytes());
+    assert_eq!(got, 0x72eade48850c9d281fa64631457a0a15);
 }
 
 #[test]

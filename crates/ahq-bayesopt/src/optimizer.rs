@@ -88,40 +88,49 @@ impl BayesOpt {
     ///
     /// Panics if `candidates` is empty.
     pub fn suggest<'a>(&mut self, candidates: &'a [Vec<f64>]) -> &'a [f64] {
+        &candidates[self.suggest_index(candidates)]
+    }
+
+    /// [`BayesOpt::suggest`] by position: the index into `candidates` of
+    /// the suggestion. With the GP fitted, each untried candidate's
+    /// expected improvement is evaluated once, and the last maximum under
+    /// `total_cmp` wins, as `Iterator::max_by` picks it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty.
+    pub fn suggest_index(&mut self, candidates: &[Vec<f64>]) -> usize {
         assert!(!candidates.is_empty(), "candidate set must be non-empty");
-        let untried: Vec<&Vec<f64>> = candidates
-            .iter()
-            .filter(|c| !self.xs.iter().any(|x| x == *c))
+        let untried: Vec<usize> = (0..candidates.len())
+            .filter(|&i| !self.xs.contains(&candidates[i]))
             .collect();
         if untried.is_empty() {
             // Everything has been tried: re-suggest the incumbent best
             // candidate (exploitation).
             return self
                 .best()
-                .and_then(|(bx, _)| candidates.iter().find(|c| c.as_slice() == bx))
-                .unwrap_or(&candidates[0]);
+                .and_then(|(bx, _)| candidates.iter().position(|c| c.as_slice() == bx))
+                .unwrap_or(0);
         }
         if self.ys.len() < self.n_init {
-            let i = self.rng.range_usize(0..untried.len());
-            return untried[i];
+            return untried[self.rng.range_usize(0..untried.len())];
         }
-        let gp = match GaussianProcess::fit(self.kernel, self.xs.clone(), self.ys.clone()) {
-            Some(gp) => gp,
-            None => {
-                let i = self.rng.range_usize(0..untried.len());
-                return untried[i];
-            }
+        let Some(gp) = GaussianProcess::fit(self.kernel, self.xs.clone(), self.ys.clone()) else {
+            return untried[self.rng.range_usize(0..untried.len())];
         };
         let best_y = self.best().map(|(_, y)| y).unwrap_or(0.0);
-        untried
-            .into_iter()
-            .max_by(|a, b| {
-                let (ma, va) = gp.predict(a);
-                let (mb, vb) = gp.predict(b);
-                expected_improvement(ma, va, best_y)
-                    .total_cmp(&expected_improvement(mb, vb, best_y))
-            })
-            .expect("untried is non-empty")
+        let ei = |i: usize| {
+            let (mean, var) = gp.predict(&candidates[i]);
+            expected_improvement(mean, var, best_y)
+        };
+        let (mut pick, mut pick_ei) = (untried[0], ei(untried[0]));
+        for &i in &untried[1..] {
+            let e = ei(i);
+            if e.total_cmp(&pick_ei).is_ge() {
+                (pick, pick_ei) = (i, e);
+            }
+        }
+        pick
     }
 }
 
@@ -195,6 +204,43 @@ mod tests {
             path
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// The suggestion of the pre-index formulation: `max_by` over the
+    /// untried candidates, predicting both sides of every comparison.
+    fn suggest_by_max_by(opt: &BayesOpt, candidates: &[Vec<f64>]) -> Vec<f64> {
+        let gp = GaussianProcess::fit(opt.kernel, opt.xs.clone(), opt.ys.clone()).unwrap();
+        let best_y = opt.best().unwrap().1;
+        candidates
+            .iter()
+            .filter(|c| !opt.xs.contains(c))
+            .max_by(|a, b| {
+                let (ma, va) = gp.predict(a);
+                let (mb, vb) = gp.predict(b);
+                expected_improvement(ma, va, best_y)
+                    .total_cmp(&expected_improvement(mb, vb, best_y))
+            })
+            .unwrap()
+            .clone()
+    }
+
+    #[test]
+    fn suggest_index_picks_what_max_by_picks() {
+        // Duplicated candidates tie exactly; `max_by` keeps the last one.
+        let mut candidates = grid();
+        candidates.extend(grid());
+        let f = |x: &[f64]| (x[0] * 7.0).sin();
+        let mut opt = BayesOpt::new(RbfKernel::new(0.15, 1.0, 1e-6), 3, 11);
+        for _ in 0..10 {
+            let i = opt.suggest_index(&candidates);
+            if opt.observations() >= 3 {
+                assert_eq!(candidates[i], suggest_by_max_by(&opt, &candidates));
+                assert!(i >= grid().len(), "a tie goes to the last duplicate");
+            }
+            let x = candidates[i].clone();
+            let y = f(&x);
+            opt.observe(x, y);
+        }
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub struct Clite {
     phase: Phase,
     opt: BayesOpt,
     candidates: Vec<Candidate>,
+    /// The x-vectors of `candidates`, in pool order: the optimizer's
+    /// candidate set, built once with the pool.
+    pool_xs: Vec<Vec<f64>>,
     current: Option<Candidate>,
     /// Windows the current configuration has run, and the score samples it
     /// accumulated past the discarded first window.
@@ -110,6 +113,7 @@ impl Clite {
             },
             opt: BayesOpt::new(RbfKernel::new(0.5, 1.0, 1e-3), INITIAL_RANDOM, SEED),
             candidates: Vec::new(),
+            pool_xs: Vec::new(),
             current: None,
             windows_on_current: 0,
             sample_scores: Vec::new(),
@@ -139,6 +143,7 @@ impl Clite {
             let ways = random_composition(&mut rng, machine.llc_ways, napps);
             candidates.push(candidate_from_parts(cores, ways, machine));
         }
+        self.pool_xs = candidates.iter().map(|c| c.x.clone()).collect();
         self.candidates = candidates;
     }
 
@@ -186,13 +191,8 @@ impl Clite {
     }
 
     fn next_suggestion(&mut self) -> Candidate {
-        let xs: Vec<Vec<f64>> = self.candidates.iter().map(|c| c.x.clone()).collect();
-        let pick = self.opt.suggest(&xs).to_vec();
-        self.candidates
-            .iter()
-            .find(|c| c.x == pick)
-            .expect("suggestion comes from the candidate pool")
-            .clone()
+        let pick = self.opt.suggest_index(&self.pool_xs);
+        self.candidates[pick].clone()
     }
 
     fn restart_exploration(&mut self) {

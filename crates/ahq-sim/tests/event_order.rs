@@ -119,11 +119,72 @@ fn app_sources(rng: &mut Rng, now_us: u64) -> AppSources {
     }
 }
 
+/// Per-application sources drawn over the whole range the node can
+/// produce: remaining work up to 1000 ms with arbitrary fractions,
+/// speeds log-uniform from just above the 1e-12 floor to 4 (quotients up
+/// to ~1e18 µs, so completion times saturate at [`SimTime::NEVER`] when
+/// the clock is late), and arrival and warm-up times around the window
+/// end as well as around now.
+fn wide_app_sources(rng: &mut Rng, now_us: u64, end_us: u64) -> AppSources {
+    let near = |rng: &mut Rng, at: u64| {
+        let offset = rng.below(2_000);
+        if rng.bool() {
+            SimTime::from_us(at.saturating_add(offset))
+        } else {
+            SimTime::from_us(at.saturating_sub(offset))
+        }
+    };
+    let next_arrival = match rng.below(3) {
+        0 => near(rng, now_us),
+        1 => near(rng, end_us),
+        _ => SimTime::NEVER,
+    };
+    let min_remaining_ms = match rng.below(4) {
+        0 => f64::INFINITY,
+        1 => 0.0,
+        _ => rng.f64() * 1_000.0,
+    };
+    let speed = match rng.below(4) {
+        0 => 1e-12f64.next_up(),
+        1 => 4.0,
+        // Log-uniform over [1e-12, 4].
+        _ => 10f64.powf(rng.range_f64(-12.0..=4f64.log10())),
+    };
+    let warmup_until = if rng.bool() {
+        near(rng, now_us)
+    } else {
+        near(rng, end_us)
+    };
+    AppSources {
+        next_arrival,
+        min_remaining_ms,
+        speed,
+        warmup_until,
+    }
+}
+
+/// Half the cases on the small collision grid, half over the wide range:
+/// an early or late clock (late enough that far completions saturate)
+/// and a window end from a few µs to the end of time.
 fn scan_inputs(rng: &mut Rng) -> (SimTime, SimTime, Vec<AppSources>) {
-    let now_us = 5 + rng.below(35);
-    let window_end = SimTime::from_us(now_us + rng.below(40));
-    let apps = check::vec(rng, 1..9, |rng| app_sources(rng, now_us));
-    (SimTime::from_us(now_us), window_end, apps)
+    if rng.bool() {
+        let now_us = 5 + rng.below(35);
+        let window_end = SimTime::from_us(now_us + rng.below(40));
+        let apps = check::vec(rng, 1..9, |rng| app_sources(rng, now_us));
+        return (SimTime::from_us(now_us), window_end, apps);
+    }
+    let now_us = if rng.bool() {
+        rng.below(1 << 40)
+    } else {
+        u64::MAX - rng.below(1 << 61)
+    };
+    let end_us = match rng.below(3) {
+        0 => now_us.saturating_add(rng.below(1_000)),
+        1 => now_us.saturating_add(rng.below(1 << 40)),
+        _ => u64::MAX,
+    };
+    let apps = check::vec(rng, 1..9, |rng| wide_app_sources(rng, now_us, end_us));
+    (SimTime::from_us(now_us), SimTime::from_us(end_us), apps)
 }
 
 fn split(apps: &[AppSources]) -> (Vec<SimTime>, Vec<f64>, Vec<f64>, Vec<SimTime>) {
@@ -139,7 +200,7 @@ fn split(apps: &[AppSources]) -> (Vec<SimTime>, Vec<f64>, Vec<f64>, Vec<SimTime>
 /// the naive minimum over the full candidate list.
 #[test]
 fn scan_matches_reference_candidate_list() {
-    check::cases(256, |rng| {
+    check::cases(1024, |rng| {
         let (time, window_end, apps) = scan_inputs(rng);
         let (arrivals, remaining, speed, warmups) = split(&apps);
         let got = scan_next_event(time, window_end, &arrivals, &remaining, &speed, &warmups);
@@ -156,7 +217,7 @@ fn scan_matches_reference_candidate_list() {
 /// one fixed order, not off re-scans.)
 #[test]
 fn permuted_app_order_preserves_event_time() {
-    check::cases(256, |rng| {
+    check::cases(1024, |rng| {
         let (time, window_end, apps) = scan_inputs(rng);
         let (arrivals, remaining, speed, warmups) = split(&apps);
         let base = scan_next_event(time, window_end, &arrivals, &remaining, &speed, &warmups);

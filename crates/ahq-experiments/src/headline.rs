@@ -6,7 +6,7 @@
 //! * low-load BE IPC gains of +63.8 % and +37.1 %.
 
 use crate::exec::ExpContext;
-use crate::fig8::{sweep, sweep_loads, SweepCell};
+use crate::fig8::{sweep_loads, sweeps, SweepCell};
 use crate::report::{f2, f3, ExperimentReport, TextTable};
 use crate::strategy::StrategyKind;
 
@@ -18,9 +18,7 @@ pub fn collect_cells(cfg: &ExpContext) -> Vec<SweepCell> {
         ahq_workloads::mixes::fluidanimate_mix(),
         ahq_workloads::mixes::stream_mix(),
     ] {
-        for background in [0.2, 0.4] {
-            cells.extend(sweep(cfg, &mix, "xapian", background, &loads));
-        }
+        cells.extend(sweeps(cfg, &mix, "xapian", &[0.2, 0.4], &loads).concat());
     }
     cells
 }

@@ -10,6 +10,7 @@
 
 use ahq_core::json::{FromJson, JsonError, JsonValue, ToJson};
 use ahq_core::{EntropyModel, EntropyReport};
+use ahq_sim::arrivals::ArrivalChunk;
 use ahq_sim::{NodeSim, Partition, WindowObservation};
 
 use crate::observe;
@@ -229,8 +230,22 @@ impl<'a> ScheduledRun<'a> {
     /// Advances one monitoring window: simulate, score, let the scheduler
     /// react, apply any repartition. Returns the window's entropy report.
     pub fn step(&mut self) -> &EntropyReport {
+        self.step_window(None)
+    }
+
+    /// [`ScheduledRun::step`] with the window's arrivals read from `chunk`
+    /// ([`NodeSim::run_window_from`]) — how runs that share one request
+    /// stream advance in lockstep on one set of draws.
+    pub fn step_from(&mut self, chunk: &ArrivalChunk) -> &EntropyReport {
+        self.step_window(Some(chunk))
+    }
+
+    fn step_window(&mut self, chunk: Option<&ArrivalChunk>) -> &EntropyReport {
         let partition = self.sim.partition().clone();
-        let obs = self.sim.run_window();
+        let obs = match chunk {
+            Some(chunk) => self.sim.run_window_from(chunk),
+            None => self.sim.run_window(),
+        };
         let (lc, be) = observe::measurements(&obs);
         let entropy = self.model.evaluate_auto(&lc, &be);
         self.result.violations += observe::violations(&obs);

@@ -5,7 +5,7 @@ use ahq_sim::AppSpec;
 use crate::profiles;
 
 /// A named collocation: which applications run together, LC apps first.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mix {
     /// A short identifier used in experiment output.
     pub name: &'static str,

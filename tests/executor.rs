@@ -38,7 +38,8 @@ fn sweep_cells_are_identical_across_worker_counts() {
     let mix = mixes::fluidanimate_mix();
     let render = |jobs: usize| -> Vec<String> {
         let cfg = cfg_with_jobs(jobs);
-        fig8::sweep(&cfg, &mix, "xapian", 0.2, &[0.1, 0.9])
+        fig8::sweeps(&cfg, &mix, "xapian", &[0.2], &[0.1, 0.9])
+            .remove(0)
             .into_iter()
             .map(|c| format!("{c:?}"))
             .collect()

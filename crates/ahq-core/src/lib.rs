@@ -73,7 +73,7 @@ mod weighted;
 pub use entropy::{EntropyModel, EntropyReport, LcAppReport, RelativeImportance};
 pub use equivalence::{isentropic_resource, resource_equivalence, EquivalencePoint};
 pub use error::TheoryError;
-pub use hash::{stable_hash128, stable_hash128_salted};
+pub use hash::{stable_hash128, stable_hash128_salted, Fnv128};
 pub use measurement::{BeMeasurement, LcMeasurement, QosElasticity};
 pub use rng::derive_seed;
 pub use series::EntropySeries;

@@ -29,18 +29,21 @@
 //!
 //! # Cache keying
 //!
-//! The cache key is the full canonical `Debug` rendering of the spec
-//! ([`RunSpec::key`]), not a hash of it — two distinct specs can never
-//! collide silently. Hits and misses are counted per engine and reported
-//! by the `repro` binary.
+//! A spec's identity is its full `Debug` rendering ([`RunSpec::key`]),
+//! so no field can be left out. The memo keys results by
+//! [`RunSpec::digest`], the 128-bit hash of that text, and holds no text;
+//! debug builds assert that one digest never names two texts. The disk
+//! tier verifies the full text inside each shard. Hits and misses are
+//! counted per engine and reported by the `repro` binary.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use ahq_core::EntropyModel;
+use ahq_core::{EntropyModel, Fnv128};
 use ahq_sched::{run_with_hook, Arq, ArqConfig, RunResult, SchedContext, ScheduledRun, Scheduler};
 use ahq_sim::arrivals::ArrivalChunk;
 use ahq_sim::{AppSpec, MachineConfig, NodeSim, Partition, SharingPolicy, SimPerfStats};
@@ -162,6 +165,14 @@ impl RunSpec {
     /// The canonical cache key of this spec.
     pub fn key(&self) -> RunKey {
         RunKey(format!("{self:?}"))
+    }
+
+    /// The memo key: the FNV-1a hash of [`RunSpec::key`]'s text, hashed
+    /// as it is formatted, without building the `String`.
+    pub fn digest(&self) -> u128 {
+        let mut hash = Fnv128::default();
+        write!(hash, "{self:?}").expect("hashing cannot fail");
+        hash.finish()
     }
 
     /// Executes the job on the calling thread. The result is a pure
@@ -292,8 +303,8 @@ fn execute_lockstep(specs: &[&RunSpec]) -> Vec<(RunResult, SimPerfStats)> {
         .collect()
 }
 
-/// The canonical cache key of a [`RunSpec`] — the full rendering, not a
-/// hash of it, so distinct specs can never collide silently.
+/// The canonical cache key of a [`RunSpec`] — the full rendering, which
+/// the disk tier verifies; the memo keeps only its [`RunSpec::digest`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunKey(String);
 
@@ -335,7 +346,10 @@ impl CacheStats {
 /// through after every execution so results survive the process.
 pub struct Engine {
     jobs: usize,
-    cache: Mutex<HashMap<RunKey, Arc<RunResult>>>,
+    cache: Mutex<HashMap<u128, Arc<RunResult>>>,
+    // Debug builds: the key text behind each digest, to catch a collision.
+    #[cfg(debug_assertions)]
+    key_texts: Mutex<HashMap<u128, RunKey>>,
     disk: Option<crate::cache::DiskCache>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -360,6 +374,8 @@ impl Engine {
         Engine {
             jobs,
             cache: Mutex::new(HashMap::new()),
+            #[cfg(debug_assertions)]
+            key_texts: Mutex::new(HashMap::new()),
             disk: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -434,24 +450,31 @@ impl Engine {
     /// results are reassembled by submission index, the output is
     /// byte-identical for any worker count.
     pub fn run_all(&self, specs: &[RunSpec]) -> Vec<Arc<RunResult>> {
-        let mut keys: Vec<RunKey> = specs.iter().map(RunSpec::key).collect();
+        let digests: Vec<u128> = specs.iter().map(RunSpec::digest).collect();
         let mut results: Vec<Option<Arc<RunResult>>> = vec![None; specs.len()];
         // Unique uncached jobs (by first submission index) and, for
         // in-batch duplicates, which pending slot each one follows.
-        let mut owner_of: HashMap<&RunKey, usize> = HashMap::new();
+        let mut owner_of: HashMap<u128, usize> = HashMap::new();
         let mut pending: Vec<usize> = Vec::new();
         let mut followers: Vec<(usize, usize)> = Vec::new();
         {
             let cache = lock(&self.cache);
-            for (i, key) in keys.iter().enumerate() {
-                if let Some(cached) = cache.get(key) {
+            for (i, &digest) in digests.iter().enumerate() {
+                #[cfg(debug_assertions)]
+                {
+                    let key = specs[i].key();
+                    let mut texts = lock(&self.key_texts);
+                    let seen = texts.entry(digest).or_insert_with(|| key.clone());
+                    assert_eq!(*seen, key, "two specs share the digest {digest:032x}");
+                }
+                if let Some(cached) = cache.get(&digest) {
                     results[i] = Some(Arc::clone(cached));
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                } else if let Some(&slot) = owner_of.get(key) {
+                } else if let Some(&slot) = owner_of.get(&digest) {
                     followers.push((i, slot));
                     self.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    owner_of.insert(key, pending.len());
+                    owner_of.insert(digest, pending.len());
                     pending.push(i);
                 }
             }
@@ -459,13 +482,16 @@ impl Engine {
 
         // Tier 2: probe the disk store for each tier-1 miss (no lock
         // held — this is I/O). A disk hit fills its slot up front and
-        // counts as a cache hit; only true misses execute.
+        // counts as a cache hit; only true misses execute. Only here is
+        // the key text rendered, once per miss.
         let slots: Vec<Mutex<Option<RunResult>>> =
             pending.iter().map(|_| Mutex::new(None)).collect();
         let mut to_run: Vec<usize> = Vec::with_capacity(pending.len());
+        let mut disk_keys: Vec<RunKey> = Vec::new();
         if let Some(disk) = &self.disk {
-            for (slot, &spec_index) in pending.iter().enumerate() {
-                if let Some(result) = disk.load(&keys[spec_index]) {
+            disk_keys = pending.iter().map(|&i| specs[i].key()).collect();
+            for (slot, key) in disk_keys.iter().enumerate() {
+                if let Some(result) = disk.load(key) {
                     *lock(&slots[slot]) = Some(result);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -514,7 +540,7 @@ impl Engine {
         if let Some(disk) = &self.disk {
             for &slot in &to_run {
                 if let Some(result) = lock(&slots[slot]).as_ref() {
-                    disk.store(&keys[pending[slot]], result);
+                    disk.store(&disk_keys[slot], result);
                 }
             }
         }
@@ -527,11 +553,7 @@ impl Engine {
                         .unwrap_or_else(PoisonError::into_inner)
                         .expect("worker filled the slot"),
                 );
-                // `format!` leaves growth slack in the key, which the memo
-                // would otherwise hold for the rest of the process.
-                let mut key = std::mem::replace(&mut keys[pending[slot]], RunKey(String::new()));
-                key.0.shrink_to_fit();
-                cache.insert(key, Arc::clone(&result));
+                cache.insert(digests[pending[slot]], Arc::clone(&result));
                 results[pending[slot]] = Some(result);
             }
         }
@@ -663,6 +685,10 @@ impl Default for ExpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ahq_core::check;
+    use ahq_core::rng::Rng;
+    use ahq_core::{stable_hash128, RelativeImportance};
+    use ahq_sim::RegionAlloc;
     use ahq_workloads::mixes;
 
     fn tiny_spec(seed: u64, strategy: StrategyKind) -> RunSpec {
@@ -682,16 +708,21 @@ mod tests {
 
     #[test]
     fn duplicated_spec_executes_once() {
-        let engine = Engine::new(4);
-        let spec = tiny_spec(7, StrategyKind::Unmanaged);
-        let results = engine.run_all(&[spec.clone(), spec]);
-        let stats = engine.stats();
-        assert_eq!(stats.misses, 1, "one unique spec, one execution");
-        assert_eq!(stats.hits, 1, "the duplicate is a hit");
-        assert!(
-            Arc::ptr_eq(&results[0], &results[1]),
-            "duplicates share one result"
-        );
+        let engine = Engine::new(3);
+        let a = tiny_spec(21, StrategyKind::Arq);
+        let b = tiny_spec(22, StrategyKind::Arq);
+        let c = RunSpec {
+            sched: SchedSpec::Kind(StrategyKind::Unmanaged),
+            ..a.clone()
+        };
+        let batch = [a.clone(), b.clone(), a, c, b.clone(), b];
+        let results = engine.run_all(&batch);
+        assert_eq!(engine.stats(), CacheStats { hits: 3, misses: 3 });
+        for (i, j) in [(0, 2), (1, 4), (1, 5)] {
+            assert!(Arc::ptr_eq(&results[i], &results[j]), "{j} follows {i}");
+        }
+        assert!(!Arc::ptr_eq(&results[0], &results[3]));
+        assert_equal_runs(&results[3], &batch[3].execute());
     }
 
     #[test]
@@ -877,5 +908,175 @@ mod tests {
         let all: Vec<usize> = (0..singles.len()).collect();
         let order = Engine::new(2).plan_units(&singles, &all, &all);
         assert_eq!(order, vec![vec![1], vec![3], vec![0], vec![2]]);
+    }
+
+    /// A random spec: every [`SchedSpec`] variant, both entropy models,
+    /// load schedules, cold lists, `window_ms` set or not, three mixes and
+    /// three machines.
+    fn random_spec(rng: &mut Rng) -> RunSpec {
+        let mix = match rng.below(3) {
+            0 => mixes::fluidanimate_mix(),
+            1 => mixes::stream_mix(),
+            _ => mixes::sphinx_mix(),
+        };
+        let names: Vec<String> = mix.apps.iter().map(|a| a.name().to_owned()).collect();
+        let lc = mix.lc_names().len();
+        let pick_lc = |rng: &mut Rng| names[rng.range_usize(0..lc)].clone();
+        let windows = rng.range_usize(1..40);
+        let sched = match rng.below(3) {
+            0 => SchedSpec::Kind(StrategyKind::extended()[rng.range_usize(0..6)]),
+            1 => SchedSpec::Arq(ArqConfig {
+                victim_ret: rng.f64(),
+                beneficiary_ret: rng.f64() * 0.1,
+                sharing: if rng.bool() {
+                    SharingPolicy::Fair
+                } else {
+                    SharingPolicy::LcPriority
+                },
+                throttle_be: rng.bool(),
+                ..ArqConfig::default()
+            }),
+            _ => SchedSpec::Static(Partition::strict(
+                (0..names.len())
+                    .map(|_| RegionAlloc::new(rng.range_u32(0..4), rng.range_u32(0..4)))
+                    .collect(),
+            )),
+        };
+        RunSpec {
+            machine: match rng.below(3) {
+                0 => MachineConfig::paper_xeon(),
+                1 => MachineConfig::paper_xeon().with_budget(8, 16),
+                _ => MachineConfig::paper_xeon().with_budget(12, 11),
+            },
+            loads: check::vec(rng, 0..4, |rng| (pick_lc(rng), rng.f64())),
+            sched,
+            windows,
+            seed: rng.next_u64(),
+            window_ms: rng.bool().then(|| rng.range_f64(50.0..=1000.0)),
+            model: if rng.bool() {
+                EntropyModel::default()
+            } else {
+                EntropyModel::new(RelativeImportance::new(rng.f64()).unwrap())
+            },
+            schedule: check::vec(rng, 0..5, |rng| {
+                (rng.range_usize(0..windows), pick_lc(rng), rng.f64())
+            }),
+            cold: check::vec(rng, 0..3, |rng| {
+                let app = names[rng.range_usize(0..names.len())].clone();
+                (app, rng.range_f64(0.0..=500.0))
+            }),
+            mix,
+        }
+    }
+
+    #[test]
+    fn digest_is_the_hash_of_the_key_text() {
+        check::cases(256, |rng| {
+            let spec = random_spec(rng);
+            assert_eq!(
+                spec.digest(),
+                stable_hash128(spec.key().as_str().as_bytes())
+            );
+        });
+    }
+
+    #[test]
+    fn every_one_field_change_changes_the_digest() {
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+        check::cases(128, |rng| {
+            let spec = random_spec(rng);
+            let mut variants = vec![
+                RunSpec {
+                    seed: spec.seed.wrapping_add(1),
+                    ..spec.clone()
+                },
+                RunSpec {
+                    seed: spec.seed.wrapping_sub(1),
+                    ..spec.clone()
+                },
+                RunSpec {
+                    windows: spec.windows + 1,
+                    ..spec.clone()
+                },
+                RunSpec {
+                    window_ms: match spec.window_ms {
+                        Some(_) => None,
+                        None => Some(1000.0),
+                    },
+                    ..spec.clone()
+                },
+            ];
+            let mut moved = spec.clone();
+            match moved.loads.first_mut() {
+                Some(load) => load.1 = ulp(load.1),
+                None => moved.loads.push(("xapian".into(), 0.5)),
+            }
+            variants.push(moved);
+            let mut moved = spec.clone();
+            match moved.schedule.last_mut() {
+                Some(entry) => entry.2 = ulp(entry.2),
+                None => moved.schedule.push((0, "moses".into(), 0.5)),
+            }
+            variants.push(moved);
+            let mut moved = spec.clone();
+            moved.schedule.push((spec.windows, "moses".into(), 0.0));
+            variants.push(moved);
+            let mut moved = spec.clone();
+            match moved.cold.pop() {
+                Some((name, ms)) => moved.cold.push((name, ulp(ms))),
+                None => moved.cold.push(("moses".into(), 100.0)),
+            }
+            variants.push(moved);
+            let mut moved = spec.clone();
+            moved.cold.push(("moses".into(), 100.0));
+            variants.push(moved);
+            for variant in &variants {
+                assert_ne!(variant.key(), spec.key());
+                assert_ne!(variant.digest(), spec.digest(), "{variant:?}");
+            }
+        });
+    }
+
+    fn temp_disk(tag: &str) -> crate::cache::DiskCache {
+        let root =
+            std::env::temp_dir().join(format!("ahq-engine-disk-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        crate::cache::DiskCache::open(root, None).unwrap()
+    }
+
+    #[test]
+    fn the_disk_is_probed_once_per_memo_miss() {
+        let mut engine = Engine::new(2);
+        engine.set_disk_cache(temp_disk("probes"));
+        let a = tiny_spec(31, StrategyKind::Unmanaged);
+        let b = tiny_spec(32, StrategyKind::Unmanaged);
+        let c = tiny_spec(33, StrategyKind::Unmanaged);
+        engine.run_one(&a);
+        // `a` is a memo hit and the second `b` a follower: only `b` and
+        // `c` reach the disk, once each.
+        engine.run_all(&[a, b.clone(), c, b]);
+        let disk = engine.disk_stats().unwrap();
+        assert_eq!((disk.hits, disk.misses), (0, 3));
+        assert_eq!(engine.stats(), CacheStats { hits: 2, misses: 3 });
+        std::fs::remove_dir_all(engine.disk_cache().unwrap().root()).ok();
+    }
+
+    #[test]
+    fn a_shard_stored_under_the_key_text_is_a_disk_hit() {
+        let disk = temp_disk("stored");
+        let spec = tiny_spec(41, StrategyKind::Parties);
+        let result = spec.execute();
+        disk.store(&spec.key(), &result);
+        let written = disk.stats().bytes_written;
+        let root = disk.root().to_path_buf();
+        let mut engine = Engine::new(1);
+        engine.set_disk_cache(disk);
+        let got = engine.run_one(&spec);
+        assert_equal_runs(&got, &result);
+        assert_eq!(engine.stats(), CacheStats { hits: 1, misses: 0 });
+        let disk = engine.disk_stats().unwrap();
+        assert_eq!((disk.hits, disk.misses), (1, 0));
+        assert_eq!(disk.bytes_written, written, "a disk hit is not rewritten");
+        std::fs::remove_dir_all(root).ok();
     }
 }

@@ -2,16 +2,15 @@
 //! clock, churned and placed between rounds, aggregated into a
 //! [`ClusterEntropyReport`].
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ahq_core::{derive_seed, EntropyModel};
-use ahq_sched::{observe, ArqConfig, RunResult, ScheduledRun, Scheduler};
+use ahq_sched::{observe, ArqConfig, RunResult, RunSpec, SchedSpec, StrategyKind};
 use ahq_sim::{
-    percentile, AppKind, AppSpec, MachineConfig, NodeSim, SimPerfStats, SteadyCalibration,
-    Surrogate,
+    percentile, AppKind, AppSpec, MachineConfig, SimPerfStats, SteadyCalibration, Surrogate,
 };
+use ahq_workloads::mixes::Mix;
 
 use crate::churn::{ChurnConfig, ChurnEvent, ChurnStream};
 use crate::control::{AppliedMove, Controller, RoundObservation};
@@ -19,7 +18,7 @@ use crate::fidelity::{FidelityMode, FidelityPolicy};
 use crate::placement::{migratable, NodeView, Placer, PlacerKind};
 use crate::report::{ClusterEntropyReport, ClusterWindowStat, NodeUtilization};
 
-/// The shared cluster window length in milliseconds — the [`NodeSim`]
+/// The shared cluster window length in milliseconds — the [`ahq_sim::NodeSim`]
 /// default window the HI-FI path simulates with, reused by the LO-FI
 /// surrogate so both fidelities keep the same clock.
 const WINDOW_MS: f64 = 500.0;
@@ -53,14 +52,6 @@ impl LocalSched {
         }
     }
 
-    /// Instantiates a fresh scheduler for one node job.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            LocalSched::Unmanaged => Box::new(ahq_sched::Unmanaged),
-            LocalSched::Arq => Box::new(ahq_sched::Arq::new()),
-        }
-    }
-
     /// Parses a scheduler from its display name.
     pub fn parse(name: &str) -> Option<LocalSched> {
         LocalSched::all()
@@ -72,7 +63,7 @@ impl LocalSched {
 /// The simulation resolution one [`NodeJob`] runs at.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobFidelity {
-    /// Full discrete-event [`NodeSim`] round.
+    /// Full discrete-event [`ahq_sim::NodeSim`] round.
     HiFi,
     /// Closed-form [`Surrogate`] round, calibrated from the node's last
     /// HI-FI round.
@@ -84,12 +75,13 @@ pub enum JobFidelity {
 /// may execute jobs in any order on any number of workers without
 /// changing a byte of output.
 ///
-/// Executing a HI-FI job is definitionally identical to the single-node
-/// pipeline: build the simulator against the full paper machine as
-/// reference, apply the loads in order, then drive the local scheduler
-/// through [`ScheduledRun`] for `windows` windows. A LO-FI job replays
-/// the same loop against the closed-form surrogate instead of the event
-/// simulator (see DESIGN.md §8).
+/// A HI-FI job runs as its [`NodeJob::spec`], the same closed
+/// [`RunSpec`] the single-node experiments execute: the simulator built
+/// against the full paper machine as reference, the loads applied in
+/// order, the cold starts charged, then the local scheduler driven for
+/// `windows` windows. A LO-FI job replays the same loop against the
+/// closed-form surrogate instead of the event simulator (see DESIGN.md
+/// §8).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeJob {
     /// Fleet index of the node (also the seed stream).
@@ -117,9 +109,9 @@ pub struct NodeJob {
     /// Empty for every job the controller did not touch, which keeps those
     /// job values — and the engine's memo keys — unchanged.
     pub cold: Vec<String>,
-    /// Tuned ARQ knobs for this job; `None` runs [`LocalSched::build`]'s
-    /// defaults. Only meaningful with [`LocalSched::Arq`] — trained
-    /// policies route their searched thresholds through here.
+    /// Tuned ARQ knobs for this job; `None` runs ARQ at its defaults.
+    /// Only meaningful with [`LocalSched::Arq`] — trained policies route
+    /// their searched thresholds through here.
     pub arq: Option<ArqConfig>,
 }
 
@@ -128,57 +120,47 @@ impl NodeJob {
     /// function of the job value.
     pub fn execute(&self) -> RunResult {
         match &self.fidelity {
-            JobFidelity::HiFi => self.execute_hifi().0,
+            JobFidelity::HiFi => self.spec().execute(),
             JobFidelity::LoFi(calibration) => self.execute_lofi(calibration),
         }
     }
 
-    /// Executes the job and also reports how much simulator work it did.
-    /// LO-FI jobs run no discrete events and report empty counters.
-    pub fn execute_with_stats(&self) -> (RunResult, SimPerfStats) {
-        match &self.fidelity {
-            JobFidelity::HiFi => self.execute_hifi(),
-            JobFidelity::LoFi(calibration) => {
-                (self.execute_lofi(calibration), SimPerfStats::default())
-            }
+    /// The closed run a HI-FI round executes: the node's apps under a
+    /// synthetic "cluster" mix name, its loads, scheduler, window count,
+    /// seed, model and cold starts. The fidelity is not part of it.
+    pub fn spec(&self) -> RunSpec {
+        RunSpec {
+            machine: self.machine,
+            mix: Mix {
+                name: "cluster",
+                apps: (*self.apps).clone(),
+            },
+            loads: self.loads.clone(),
+            sched: self.sched_spec(),
+            windows: self.windows,
+            seed: self.seed,
+            window_ms: None,
+            model: self.model,
+            schedule: Vec::new(),
+            // Cold-start charges draw no randomness, so jobs without cold
+            // apps keep a bit-identical event stream.
+            cold: self
+                .cold
+                .iter()
+                .map(|name| (name.clone(), MIGRATION_WARMUP_MS))
+                .collect(),
         }
     }
 
-    /// Builds the job's local scheduler, honouring a tuned ARQ config
-    /// when one rides along.
-    fn build_sched(&self) -> Box<dyn Scheduler> {
+    /// The node's scheduler, for both fidelities. A tuned job carries its
+    /// explicit ARQ configuration into the cache key; untuned jobs keep
+    /// the `Kind` keys, so their memoized entries stay shared.
+    fn sched_spec(&self) -> SchedSpec {
         match (self.sched, self.arq) {
-            (LocalSched::Arq, Some(config)) => Box::new(ahq_sched::Arq::with_config(config)),
-            _ => self.sched.build(),
+            (LocalSched::Arq, Some(config)) => SchedSpec::Arq(config),
+            (LocalSched::Arq, None) => SchedSpec::Kind(StrategyKind::Arq),
+            (LocalSched::Unmanaged, _) => SchedSpec::Kind(StrategyKind::Unmanaged),
         }
-    }
-
-    fn execute_hifi(&self) -> (RunResult, SimPerfStats) {
-        let mut sim = NodeSim::with_reference(
-            self.machine,
-            MachineConfig::paper_xeon(),
-            (*self.apps).clone(),
-            self.seed,
-        )
-        .expect("cluster jobs carry valid app sets");
-        for (name, load) in &self.loads {
-            sim.set_load(name, *load)
-                .expect("cluster loads target placed LC apps");
-        }
-        // Cold-start charges draw no randomness, so jobs without cold apps
-        // keep a bit-identical event stream.
-        for name in &self.cold {
-            sim.begin_warmup(name, MIGRATION_WARMUP_MS)
-                .expect("cold names target placed apps");
-        }
-        let mut sched = self.build_sched();
-        let mut run = ScheduledRun::new(&mut sim, sched.as_mut(), &self.model);
-        while run.windows_run() < self.windows {
-            run.step();
-        }
-        let result = run.finish();
-        let stats = sim.perf_stats();
-        (result, stats)
     }
 
     /// The LO-FI path: the scheduler contributes only its sharing policy
@@ -187,7 +169,7 @@ impl NodeJob {
     /// round), and the surrogate stamps out every window from one
     /// steady-state solve. Seed-independent by construction.
     fn execute_lofi(&self, calibration: &SteadyCalibration) -> RunResult {
-        let sched = self.build_sched();
+        let sched = self.sched_spec().build();
         let partition = sched.initial_partition(&self.machine, &self.apps);
         let surrogate = Surrogate::new(
             self.machine,
@@ -238,37 +220,20 @@ pub trait NodeBatchRunner {
     }
 }
 
-/// The reference runner: executes jobs one by one on the calling thread,
-/// accumulating their simulator work counters.
+/// The reference runner: executes jobs one by one on the calling thread.
 #[derive(Debug, Default)]
-pub struct SequentialRunner {
-    stats: Cell<SimPerfStats>,
-}
+pub struct SequentialRunner;
 
 impl SequentialRunner {
-    /// A fresh runner with zeroed counters.
+    /// A fresh runner.
     pub fn new() -> Self {
-        Self::default()
+        SequentialRunner
     }
 }
 
 impl NodeBatchRunner for SequentialRunner {
     fn run_nodes(&self, jobs: &[NodeJob]) -> Vec<RunResult> {
-        jobs.iter()
-            .map(|job| {
-                let (result, stats) = job.execute_with_stats();
-                let mut total = self.stats.get();
-                total.events += stats.events;
-                total.rate_hits += stats.rate_hits;
-                total.rate_misses += stats.rate_misses;
-                self.stats.set(total);
-                result
-            })
-            .collect()
-    }
-
-    fn perf_stats(&self) -> Option<SimPerfStats> {
-        Some(self.stats.get())
+        jobs.iter().map(NodeJob::execute).collect()
     }
 }
 
@@ -1020,6 +985,12 @@ mod tests {
 
     use super::*;
     use crate::control::{AppMove, ControlVerdict};
+    use ahq_core::check;
+    use ahq_core::rng::Rng;
+    use ahq_core::RelativeImportance;
+    use ahq_sched::{Arq, ScheduledRun, Scheduler, Unmanaged};
+    use ahq_sim::{NodeSim, SharingPolicy};
+    use ahq_workloads::mixes;
 
     fn tiny_config(placer: PlacerKind) -> ClusterConfig {
         ClusterConfig {
@@ -1039,23 +1010,14 @@ mod tests {
 
     #[test]
     fn run_is_deterministic() {
-        let a = run_cluster(
-            tiny_config(PlacerKind::EntropyAware),
-            &SequentialRunner::default(),
-        );
-        let b = run_cluster(
-            tiny_config(PlacerKind::EntropyAware),
-            &SequentialRunner::default(),
-        );
+        let a = run_cluster(tiny_config(PlacerKind::EntropyAware), &SequentialRunner);
+        let b = run_cluster(tiny_config(PlacerKind::EntropyAware), &SequentialRunner);
         assert_eq!(a, b);
     }
 
     #[test]
     fn report_shape_matches_run() {
-        let report = run_cluster(
-            tiny_config(PlacerKind::FirstFit),
-            &SequentialRunner::default(),
-        );
+        let report = run_cluster(tiny_config(PlacerKind::FirstFit), &SequentialRunner);
         assert_eq!(report.nodes, 8);
         assert_eq!(report.rounds, 3);
         assert_eq!(report.windows(), 6);
@@ -1096,26 +1058,17 @@ mod tests {
         let mut config = tiny_config(PlacerKind::LeastLoaded);
         config.sched = LocalSched::Arq;
         config.churn.be_fraction = 1.0; // every arrival is a BE app
-        let report = run_cluster(config, &SequentialRunner::default());
+        let report = run_cluster(config, &SequentialRunner);
         assert_eq!(report.sched, "arq", "the configured scheduler is reported");
         assert!(report.windows() > 0);
-    }
-
-    #[test]
-    fn sequential_runner_reports_aggregate_perf_stats() {
-        let runner = SequentialRunner::new();
-        let report = run_cluster(tiny_config(PlacerKind::EntropyAware), &runner);
-        assert!(report.windows() > 0);
-        let stats = runner.perf_stats().expect("sequential runner tracks stats");
-        assert!(stats.events > 0, "HI-FI rounds simulate discrete events");
     }
 
     #[test]
     fn ladder_is_deterministic_and_partitions_active_nodes() {
         let mut config = tiny_config(PlacerKind::EntropyAware);
         config.fidelity = FidelityMode::Ladder;
-        let a = run_cluster(config.clone(), &SequentialRunner::default());
-        let b = run_cluster(config, &SequentialRunner::default());
+        let a = run_cluster(config.clone(), &SequentialRunner);
+        let b = run_cluster(config, &SequentialRunner);
         assert_eq!(a, b);
         assert!(a
             .window_stats
@@ -1141,7 +1094,7 @@ mod tests {
             es_threshold: f64::INFINITY,
             ret_margin: f64::NEG_INFINITY,
         };
-        let report = run_cluster(config, &SequentialRunner::default());
+        let report = run_cluster(config, &SequentialRunner);
         let first = report.window_stats.first().expect("windows recorded");
         let last = report.window_stats.last().expect("windows recorded");
         assert_eq!(first.lofi_nodes, 0, "round 0 runs everything HI-FI");
@@ -1162,9 +1115,9 @@ mod tests {
         config.churn.arrivals_per_round = 0.0;
         config.churn.departure_prob = 0.0;
         config.churn.load_change_prob = 0.0;
-        let full = run_cluster(config.clone(), &SequentialRunner::default());
+        let full = run_cluster(config.clone(), &SequentialRunner);
         config.fidelity = FidelityMode::Ladder;
-        let ladder = run_cluster(config, &SequentialRunner::default());
+        let ladder = run_cluster(config, &SequentialRunner);
         assert_eq!(full.placements, ladder.placements);
         assert_eq!(full.windows(), ladder.windows());
         assert_eq!(full.violations, 0);
@@ -1210,11 +1163,157 @@ mod tests {
 
     #[test]
     fn local_sched_round_trips() {
+        let mut rng = Rng::seed_from_u64(3);
         for kind in LocalSched::all() {
             assert_eq!(LocalSched::parse(kind.name()), Some(kind));
-            assert_eq!(kind.build().name(), kind.name());
+            let job = NodeJob {
+                sched: kind,
+                arq: None,
+                ..random_job(&mut rng)
+            };
+            assert_eq!(job.spec().sched.build().name(), kind.name());
         }
         assert_eq!(LocalSched::parse("nope"), None);
+    }
+
+    /// A random HI-FI node job: one of three mixes on one of the fleet's
+    /// machine budgets, LC loads in a random order, a random cold subset,
+    /// both local schedulers with and without tuned ARQ knobs, 1–6
+    /// windows and either entropy model.
+    fn random_job(rng: &mut Rng) -> NodeJob {
+        let mix = match rng.below(3) {
+            0 => mixes::fluidanimate_mix(),
+            1 => mixes::stream_mix(),
+            _ => mixes::sphinx_mix(),
+        };
+        let mut loads: Vec<(String, f64)> = mix
+            .lc_names()
+            .iter()
+            .map(|name| (name.to_string(), rng.f64()))
+            .collect();
+        for i in (1..loads.len()).rev() {
+            loads.swap(i, rng.range_usize(0..i + 1));
+        }
+        let cold = mix
+            .apps
+            .iter()
+            .filter(|_| rng.below(3) == 0)
+            .map(|app| app.name().to_owned())
+            .collect();
+        let fleet = ClusterConfig::fleet(3);
+        NodeJob {
+            node: rng.range_usize(0..64),
+            machine: fleet[rng.range_usize(0..3)],
+            apps: Arc::new(mix.apps),
+            loads,
+            sched: if rng.bool() {
+                LocalSched::Arq
+            } else {
+                LocalSched::Unmanaged
+            },
+            windows: rng.range_usize(1..7),
+            seed: rng.next_u64(),
+            model: if rng.bool() {
+                EntropyModel::default()
+            } else {
+                EntropyModel::new(RelativeImportance::new(rng.f64()).unwrap())
+            },
+            fidelity: JobFidelity::HiFi,
+            cold,
+            arq: rng.bool().then(|| ArqConfig {
+                victim_ret: rng.f64(),
+                beneficiary_ret: rng.f64() * 0.1,
+                sharing: if rng.bool() {
+                    SharingPolicy::Fair
+                } else {
+                    SharingPolicy::LcPriority
+                },
+                throttle_be: rng.bool(),
+                ..ArqConfig::default()
+            }),
+        }
+    }
+
+    /// The scheduler choice node jobs made before they ran as run specs.
+    fn old_sched(job: &NodeJob) -> Box<dyn Scheduler> {
+        match (job.sched, job.arq) {
+            (LocalSched::Arq, Some(config)) => Box::new(Arq::with_config(config)),
+            (LocalSched::Arq, None) => Box::new(Arq::new()),
+            (LocalSched::Unmanaged, _) => Box::new(Unmanaged),
+        }
+    }
+
+    /// The HI-FI path node jobs took before they ran as run specs.
+    fn old_hifi(job: &NodeJob) -> RunResult {
+        let mut sim = NodeSim::with_reference(
+            job.machine,
+            MachineConfig::paper_xeon(),
+            (*job.apps).clone(),
+            job.seed,
+        )
+        .unwrap();
+        for (name, load) in &job.loads {
+            sim.set_load(name, *load).unwrap();
+        }
+        for name in &job.cold {
+            sim.begin_warmup(name, MIGRATION_WARMUP_MS).unwrap();
+        }
+        let mut sched = old_sched(job);
+        let mut run = ScheduledRun::new(&mut sim, sched.as_mut(), &job.model);
+        while run.windows_run() < job.windows {
+            run.step();
+        }
+        run.finish()
+    }
+
+    /// The LO-FI path under the old scheduler choice.
+    fn old_lofi(job: &NodeJob, calibration: &SteadyCalibration) -> RunResult {
+        let sched = old_sched(job);
+        let partition = sched.initial_partition(&job.machine, &job.apps);
+        let surrogate = Surrogate::new(
+            job.machine,
+            MachineConfig::paper_xeon(),
+            &job.apps,
+            &job.loads,
+            &partition,
+            sched.policy(),
+            WINDOW_MS,
+            Some(calibration),
+        )
+        .unwrap();
+        let mut result = RunResult {
+            strategy: sched.name().to_owned(),
+            observations: Vec::new(),
+            entropy: Vec::new(),
+            partitions: Vec::new(),
+            violations: 0,
+            adjustments: 0,
+        };
+        for w in 0..job.windows {
+            let obs = surrogate.window(w as u64);
+            let (lc, be) = observe::measurements(&obs);
+            result.entropy.push(job.model.evaluate_auto(&lc, &be));
+            result.violations += observe::violations(&obs);
+            result.observations.push(obs);
+            result.partitions.push(partition.clone());
+        }
+        result
+    }
+
+    #[test]
+    fn node_jobs_execute_as_they_did_before_running_as_specs() {
+        check::cases(48, |rng| {
+            let job = random_job(rng);
+            let hifi = old_hifi(&job);
+            assert_eq!(format!("{:?}", job.execute()), format!("{hifi:?}"));
+            let calibration = SteadyCalibration::from_windows(&hifi.observations);
+            let want = old_lofi(&job, &calibration);
+            let lofi = NodeJob {
+                fidelity: JobFidelity::LoFi(calibration),
+                ..job
+            };
+            assert_eq!(format!("{:?}", lofi.execute()), format!("{want:?}"));
+        });
     }
 
     /// A scripted controller: one fixed move at a given round, with a
@@ -1294,7 +1393,7 @@ mod tests {
 
     #[test]
     fn rolled_back_move_restores_the_exact_placement() {
-        let runner = SequentialRunner::default();
+        let runner = SequentialRunner;
         let mut sim = ClusterSim::new(frozen_config());
         sim.step_round(&runner); // round 0: initial population, no move
         let mv = be_move(&sim);
@@ -1331,7 +1430,7 @@ mod tests {
 
     #[test]
     fn committed_move_lands_on_the_recipient() {
-        let runner = SequentialRunner::default();
+        let runner = SequentialRunner;
         let mut sim = ClusterSim::new(frozen_config());
         sim.step_round(&runner);
         let mv = be_move(&sim);
@@ -1353,7 +1452,7 @@ mod tests {
 
     #[test]
     fn lc_controller_move_charges_one_cold_start() {
-        let runner = SequentialRunner::default();
+        let runner = SequentialRunner;
         let mut config = frozen_config();
         config.churn.be_fraction = 0.0; // all-LC fleet
         let mut sim = ClusterSim::new(config);
@@ -1437,7 +1536,7 @@ mod tests {
         sim.set_controller(Box::new(Shuffler {
             moved: Rc::clone(&moved),
         }));
-        let runner = SequentialRunner::default();
+        let runner = SequentialRunner;
         let mut departed = HashSet::new();
         while !sim.finished() {
             let round = sim.round();

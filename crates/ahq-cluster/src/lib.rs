@@ -19,7 +19,9 @@
 //! fleet's app-to-node assignment; within a round every node's run is a
 //! *closed job* ([`NodeJob`]) — machine, app specs, initial loads, local
 //! scheduler, window count, and a per-`(node, round)` seed derived with
-//! [`ahq_core::derive_seed`]. Closed jobs are what make the layer
+//! [`ahq_core::derive_seed`]. A HI-FI job runs as its [`NodeJob::spec`],
+//! the same closed [`ahq_sched::RunSpec`] a single-node experiment runs,
+//! through `ahq-sched`'s one executor. Closed jobs are what make the layer
 //! parallel-safe: a [`NodeBatchRunner`] may execute them in any order, on
 //! any number of workers, and the cluster's output is byte-identical to
 //! the sequential [`SequentialRunner`]. The `ahq-experiments` crate

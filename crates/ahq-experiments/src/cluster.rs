@@ -4,24 +4,22 @@
 //! ARQ) at 16/64/256 nodes.
 //!
 //! The cluster layer lives in `ahq-cluster` and knows nothing about the
-//! run engine; [`EngineRunner`] bridges the two by translating each
-//! closed [`NodeJob`] into an equivalent [`RunSpec`] and fanning rounds
-//! through the invocation-wide [`Engine`]. Node jobs are pure functions
-//! of their values and results come back in submission order, so
+//! run engine; [`EngineRunner`] bridges the two by submitting each closed
+//! [`NodeJob`] as its [`NodeJob::spec`] and fanning rounds through the
+//! invocation-wide [`Engine`]. Node jobs are pure functions of their
+//! values and results come back in submission order, so
 //! `repro cluster --jobs N` is byte-identical for any `N`.
 
 use ahq_cluster::{
     run_cluster, static_placers, ChurnConfig, ClusterConfig, ClusterEntropyReport, FidelityMode,
-    JobFidelity, LocalSched, NodeBatchRunner, NodeJob, PlacerKind, MIGRATION_WARMUP_MS,
+    JobFidelity, LocalSched, NodeBatchRunner, NodeJob, PlacerKind,
 };
 use ahq_sched::RunResult;
 use ahq_sim::SimPerfStats;
-use ahq_workloads::mixes::Mix;
 
-use crate::exec::{Engine, ExpContext, RunSpec, SchedSpec};
+use crate::exec::{Engine, ExpContext, RunSpec};
 use crate::report::{f2, f3, ExperimentReport, TextTable};
 use crate::runs::ExpConfig;
-use crate::strategy::StrategyKind;
 
 /// Command-line overrides for the cluster experiment — the
 /// `repro cluster --nodes N --rounds N --fidelity ladder|full` surface.
@@ -33,39 +31,6 @@ pub struct ClusterOpts {
     pub rounds: Option<usize>,
     /// Fidelity mode applied to every cluster scenario.
     pub fidelity: FidelityMode,
-}
-
-/// Translates a cluster [`NodeJob`] into the equivalent engine
-/// [`RunSpec`]: same machine, apps, load order, scheduler, window count,
-/// seed and model, under a synthetic "cluster" mix name. Executing either
-/// description yields byte-identical [`RunResult`]s.
-fn job_spec(job: &NodeJob) -> RunSpec {
-    RunSpec {
-        machine: job.machine,
-        mix: Mix {
-            name: "cluster",
-            apps: (*job.apps).clone(),
-        },
-        loads: job.loads.clone(),
-        sched: match (job.sched, job.arq) {
-            // A tuned job carries its explicit ARQ configuration into the
-            // cache key; untuned jobs keep the original `Kind` keys so
-            // existing memoized entries stay shared.
-            (LocalSched::Arq, Some(config)) => SchedSpec::Arq(config),
-            (LocalSched::Arq, None) => SchedSpec::Kind(StrategyKind::Arq),
-            (LocalSched::Unmanaged, _) => SchedSpec::Kind(StrategyKind::Unmanaged),
-        },
-        windows: job.windows,
-        seed: job.seed,
-        window_ms: None,
-        model: job.model,
-        schedule: Vec::new(),
-        cold: job
-            .cold
-            .iter()
-            .map(|name| (name.clone(), MIGRATION_WARMUP_MS))
-            .collect(),
-    }
 }
 
 /// A [`NodeBatchRunner`] backed by the deterministic parallel [`Engine`]:
@@ -96,7 +61,7 @@ impl NodeBatchRunner for EngineRunner<'_> {
         for (i, job) in jobs.iter().enumerate() {
             if matches!(job.fidelity, JobFidelity::HiFi) {
                 hifi.push(i);
-                specs.push(job_spec(job));
+                specs.push(job.spec());
             } else {
                 results[i] = Some(job.execute());
             }

@@ -6,26 +6,18 @@
 //!
 //! # Determinism
 //!
-//! A [`RunSpec`] is a *closed* job description: machine, mix, initial
-//! loads (in application order — each `set_load` advances the simulator
-//! RNG), scheduler, window count, seed, entropy model, and the full
-//! per-window load schedule. Executing a spec twice therefore yields
-//! byte-identical [`RunResult`]s, and nothing about a run depends on
-//! worker identity or scheduling order. Results are returned in
-//! submission order, so `--jobs 1` and `--jobs N` produce identical
-//! output.
+//! A [`RunSpec`] (from `ahq-sched`, re-exported here) is a *closed* job
+//! description, so executing a spec twice yields byte-identical
+//! [`RunResult`]s, and nothing about a run depends on worker identity or
+//! scheduling order. Results are returned in submission order, so
+//! `--jobs 1` and `--jobs N` produce identical output.
 //!
-//! A node's only random draws are its request stream
-//! ([`ahq_sim::arrivals`]), and the stream depends on the mix, the load
-//! calls, the seed and the window boundaries alone — never on the
-//! scheduler. So the engine groups the specs of a batch that agree on
-//! those inputs ([`RunSpec::same_arrivals`]: a strategy grid's cell) and
-//! runs each group as one work unit: one stream draws each window once
-//! into an [`ArrivalChunk`], and every member's run steps through that
-//! window on it, in lockstep. Each member's result and work counters are
-//! exactly those of its standalone [`RunSpec::execute_with_stats`]; only
-//! the draws are shared. A lone spec runs alone, its node filling its
-//! own chunk each window.
+//! The engine groups the specs of a batch that draw the same request
+//! stream ([`RunSpec::same_arrivals`]: a strategy grid's cell) and runs
+//! each group as one work unit through [`execute_lockstep`], which steps
+//! every member through each window on one set of draws. A lone spec is
+//! a group of one. Each member's result and work counters are exactly
+//! those of its own run; only the draws are shared.
 //!
 //! # Cache keying
 //!
@@ -37,283 +29,22 @@
 //! counted per engine and reported by the `repro` binary.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use ahq_core::{EntropyModel, Fnv128};
-use ahq_sched::{run_with_hook, Arq, ArqConfig, RunResult, SchedContext, ScheduledRun, Scheduler};
-use ahq_sim::arrivals::ArrivalChunk;
-use ahq_sim::{AppSpec, MachineConfig, NodeSim, Partition, SharingPolicy, SimPerfStats};
-use ahq_workloads::mixes::Mix;
+use ahq_sched::{execute_lockstep, RunResult};
+pub use ahq_sched::{RunKey, RunSpec, SchedSpec, StaticPartition};
+use ahq_sim::{AppSpec, SimPerfStats};
 
-use crate::runs::{build_sim, ExpConfig};
-use crate::strategy::StrategyKind;
+use crate::runs::ExpConfig;
 
 /// Locks `mutex`, ignoring poisoning. Every critical section is a single
 /// insert, pop or store, so a panic elsewhere never leaves the guarded data
 /// half-updated; the panicking worker still fails the scoped run.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A value-typed scheduler description, so a [`RunSpec`] stays a closed,
-/// comparable job description rather than holding a boxed trait object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedSpec {
-    /// One of the named strategies.
-    Kind(StrategyKind),
-    /// ARQ with an explicit configuration (the ablation variants).
-    Arq(ArqConfig),
-    /// A fixed partition installed once and never adjusted (Fig. 1's
-    /// strategy "B").
-    Static(Partition),
-}
-
-impl SchedSpec {
-    /// Instantiates a fresh scheduler for one run.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedSpec::Kind(kind) => kind.build(),
-            SchedSpec::Arq(config) => Box::new(Arq::with_config(*config)),
-            SchedSpec::Static(partition) => Box::new(StaticPartition(partition.clone())),
-        }
-    }
-}
-
-/// A scheduler that installs one fixed partition and never adjusts —
-/// strategy "B" of the motivating example.
-#[derive(Debug, Clone)]
-pub struct StaticPartition(pub Partition);
-
-impl Scheduler for StaticPartition {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn policy(&self) -> SharingPolicy {
-        SharingPolicy::LcPriority
-    }
-
-    fn initial_partition(&self, _machine: &MachineConfig, _apps: &[AppSpec]) -> Partition {
-        self.0.clone()
-    }
-
-    fn decide(&mut self, _ctx: &SchedContext<'_>) -> Option<Partition> {
-        None
-    }
-}
-
-/// One simulation job: everything that determines a [`RunResult`].
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Machine budget under test.
-    pub machine: MachineConfig,
-    /// The application mix.
-    pub mix: Mix,
-    /// Initial per-LC-app load fractions, in call-site order (order
-    /// matters: each `set_load` advances the simulator RNG).
-    pub loads: Vec<(String, f64)>,
-    /// The scheduler driving the run.
-    pub sched: SchedSpec,
-    /// Number of monitoring windows.
-    pub windows: usize,
-    /// Simulator RNG seed.
-    pub seed: u64,
-    /// Monitoring-window override in milliseconds (the interval ablation).
-    pub window_ms: Option<f64>,
-    /// Entropy model the scheduler is fed with.
-    pub model: EntropyModel,
-    /// Pre-window load changes `(window, app, fraction)` applied in order
-    /// before each window — Fig. 13's trace replay, precomputed so the
-    /// job stays a closed value.
-    pub schedule: Vec<(usize, String, f64)>,
-    /// Apps starting this run cold: `(name, warmup ms)` pairs applied via
-    /// [`ahq_sim::NodeSim::begin_warmup`] before the first window — how a
-    /// controller-migrated LC app's cold-start cost reaches the engine.
-    /// Applying a warm-up draws no RNG, so specs with an empty list are
-    /// unaffected.
-    pub cold: Vec<(String, f64)>,
-}
-
-impl RunSpec {
-    /// The standard experiment job: `mix` on `machine` at `loads` under a
-    /// named strategy, with the configuration's windows, seed and model.
-    pub fn strategy(
-        cfg: &ExpConfig,
-        machine: MachineConfig,
-        mix: &Mix,
-        loads: &[(&str, f64)],
-        strategy: StrategyKind,
-    ) -> Self {
-        RunSpec {
-            machine,
-            mix: mix.clone(),
-            loads: loads.iter().map(|(n, l)| ((*n).to_owned(), *l)).collect(),
-            sched: SchedSpec::Kind(strategy),
-            windows: cfg.windows(),
-            seed: cfg.seed,
-            window_ms: None,
-            model: cfg.model(),
-            schedule: Vec::new(),
-            cold: Vec::new(),
-        }
-    }
-
-    /// The canonical cache key of this spec.
-    pub fn key(&self) -> RunKey {
-        RunKey(format!("{self:?}"))
-    }
-
-    /// The memo key: the FNV-1a hash of [`RunSpec::key`]'s text, hashed
-    /// as it is formatted, without building the `String`.
-    pub fn digest(&self) -> u128 {
-        let mut hash = Fnv128::default();
-        write!(hash, "{self:?}").expect("hashing cannot fail");
-        hash.finish()
-    }
-
-    /// Executes the job on the calling thread. The result is a pure
-    /// function of the spec.
-    pub fn execute(&self) -> RunResult {
-        self.execute_with_stats().0
-    }
-
-    /// [`RunSpec::execute`], additionally returning the simulator's work
-    /// counters (events processed, rate-cache hits/misses) so the engine
-    /// can aggregate simulated-events/sec across a whole invocation.
-    pub fn execute_with_stats(&self) -> (RunResult, SimPerfStats) {
-        let mut sim = self.build_node();
-        let mut sched = self.sched.build();
-        let mut cursor = 0usize;
-        let result = run_with_hook(
-            &mut sim,
-            sched.as_mut(),
-            self.windows,
-            &self.model,
-            |sim, w| {
-                for (_, name, fraction) in self.due(&mut cursor, w) {
-                    let _ = sim.set_load(name, *fraction);
-                }
-            },
-        );
-        let stats = sim.perf_stats();
-        (result, stats)
-    }
-
-    /// The node before the scheduler takes over: the mix at its initial
-    /// loads, the window override and the cold starts.
-    fn build_node(&self) -> NodeSim {
-        let loads: Vec<(&str, f64)> = self.loads.iter().map(|(n, l)| (n.as_str(), *l)).collect();
-        let mut sim = build_sim(self.machine, &self.mix, &loads, self.seed);
-        if let Some(ms) = self.window_ms {
-            sim.set_window_ms(ms);
-        }
-        for (name, ms) in &self.cold {
-            sim.begin_warmup(name, *ms)
-                .expect("cold names target placed apps");
-        }
-        sim
-    }
-
-    /// The schedule entries due before window `w` from `*cursor` on,
-    /// advancing the cursor past them.
-    fn due(&self, cursor: &mut usize, w: usize) -> &[(usize, String, f64)] {
-        let from = *cursor;
-        while *cursor < self.schedule.len() && self.schedule[*cursor].0 <= w {
-            *cursor += 1;
-        }
-        &self.schedule[from..*cursor]
-    }
-
-    /// Whether `other` draws the same request stream: equal on every
-    /// input of the node's arrival stream — mix, initial loads in order,
-    /// load schedule, seed, window count and window length. The
-    /// scheduler, entropy model, cold starts and machine may differ; none
-    /// of them draws.
-    pub fn same_arrivals(&self, other: &RunSpec) -> bool {
-        self.seed == other.seed
-            && self.windows == other.windows
-            && self.window_ms == other.window_ms
-            && self.loads == other.loads
-            && self.schedule == other.schedule
-            && self.mix == other.mix
-    }
-
-    /// A deterministic cost estimate for dispatch order: the initially
-    /// offered requests per second times the window count.
-    fn weight(&self) -> f64 {
-        let qps: f64 = self
-            .loads
-            .iter()
-            .map(|(name, load)| {
-                let app = self.mix.apps.iter().find(|a| a.name() == name);
-                load * app.and_then(AppSpec::max_load_qps).unwrap_or(0.0)
-            })
-            .sum();
-        qps * self.windows as f64
-    }
-}
-
-/// Runs `specs`, which all draw the same request stream
-/// ([`RunSpec::same_arrivals`]), in lockstep: one [`ArrivalStream`]
-/// applies the load schedule, draws each window once into an
-/// [`ArrivalChunk`], and every member's run steps through that window on
-/// it. Only one window of draws is live at a time. Each result and
-/// counter set equals the member's own [`RunSpec::execute_with_stats`].
-///
-/// [`ArrivalStream`]: ahq_sim::arrivals::ArrivalStream
-fn execute_lockstep(specs: &[&RunSpec]) -> Vec<(RunResult, SimPerfStats)> {
-    let lead = specs[0];
-    let mut sims: Vec<NodeSim> = specs.iter().map(|s| s.build_node()).collect();
-    let mut scheds: Vec<Box<dyn Scheduler>> = specs.iter().map(|s| s.sched.build()).collect();
-    // Every member's stream is in this state: same mix, seed and loads.
-    let mut stream = sims[0].arrivals().clone();
-    let window = sims[0].window_length();
-    let mut runs: Vec<ScheduledRun<'_>> = sims
-        .iter_mut()
-        .zip(&mut scheds)
-        .zip(specs)
-        .map(|((sim, sched), spec)| ScheduledRun::new(sim, sched.as_mut(), &spec.model))
-        .collect();
-    let mut chunk = ArrivalChunk::default();
-    let mut cursor = 0usize;
-    for w in 0..lead.windows {
-        let start = runs[0].sim().now();
-        for (_, name, fraction) in lead.due(&mut cursor, w) {
-            for run in &mut runs {
-                let _ = run.sim().set_load(name, *fraction);
-            }
-            if let Ok(id) = runs[0].sim().app_id(name) {
-                stream.set_load(id.index(), *fraction, start);
-            }
-        }
-        stream.fill(start, start + window, &mut chunk);
-        for run in &mut runs {
-            run.step_from(&chunk);
-        }
-    }
-    let results: Vec<RunResult> = runs.into_iter().map(ScheduledRun::finish).collect();
-    results
-        .into_iter()
-        .zip(&sims)
-        .map(|(result, sim)| (result, sim.perf_stats()))
-        .collect()
-}
-
-/// The canonical cache key of a [`RunSpec`] — the full rendering, which
-/// the disk tier verifies; the memo keeps only its [`RunSpec::digest`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RunKey(String);
-
-impl RunKey {
-    /// The canonical key text — what the disk tier hashes into an address
-    /// and stores inside each shard for verification.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
 }
 
 /// Hit/miss counters of an [`Engine`]'s run cache.
@@ -444,8 +175,9 @@ impl Engine {
     ///
     /// Cached and duplicated specs execute at most once. The rest are
     /// grouped into work units — specs that share a request stream
-    /// ([`RunSpec::same_arrivals`]) run in lockstep as one unit, lone specs
-    /// alone — and fanned out over the worker pool, heaviest unit first.
+    /// ([`RunSpec::same_arrivals`]) run in lockstep as one unit, a lone
+    /// spec as a group of one — and fanned out over the worker pool,
+    /// heaviest unit first.
     /// Because every job's result is a pure function of its spec and
     /// results are reassembled by submission index, the output is
     /// byte-identical for any worker count.
@@ -507,14 +239,8 @@ impl Engine {
 
         let units = self.plan_units(specs, &pending, &to_run);
         let run_unit = |unit: &[usize]| {
-            let outcomes = if let [slot] = *unit {
-                vec![specs[pending[slot]].execute_with_stats()]
-            } else {
-                let members: Vec<&RunSpec> =
-                    unit.iter().map(|&slot| &specs[pending[slot]]).collect();
-                execute_lockstep(&members)
-            };
-            for (&slot, (result, sim_stats)) in unit.iter().zip(outcomes) {
+            let members: Vec<&RunSpec> = unit.iter().map(|&slot| &specs[pending[slot]]).collect();
+            for (&slot, (result, sim_stats)) in unit.iter().zip(execute_lockstep(&members)) {
                 self.record_sim_stats(sim_stats);
                 *lock(&slots[slot]) = Some(result);
             }
@@ -576,8 +302,7 @@ impl Engine {
     /// * **Splitting.** A batch never has fewer units than workers: the
     ///   heaviest group is halved until it does, or every unit is single.
     /// * **Order.** Heaviest first by a deterministic estimate — the
-    ///   spec's [`RunSpec::weight`] times its members — ties in
-    ///   submission order.
+    ///   spec's [`spec_weight`] times its members — ties in submission order.
     fn plan_units(
         &self,
         specs: &[RunSpec],
@@ -600,7 +325,7 @@ impl Engine {
                 }
             }
         }
-        let weight = |unit: &[usize]| spec(unit[0]).weight() * unit.len() as f64;
+        let weight = |unit: &[usize]| spec_weight(spec(unit[0])) * unit.len() as f64;
         while units.len() < self.jobs {
             let heaviest = (0..units.len())
                 .filter(|&u| units[u].len() > 1)
@@ -623,6 +348,20 @@ impl Engine {
         weighted.sort_by(|(wa, a), (wb, b)| wb.total_cmp(wa).then(a[0].cmp(&b[0])));
         weighted.into_iter().map(|(_, unit)| unit).collect()
     }
+}
+
+/// A deterministic cost estimate of `spec` for dispatch order: the
+/// initially offered requests per second times the window count.
+fn spec_weight(spec: &RunSpec) -> f64 {
+    let qps: f64 = spec
+        .loads
+        .iter()
+        .map(|(name, load)| {
+            let app = spec.mix.apps.iter().find(|a| a.name() == name);
+            load * app.and_then(AppSpec::max_load_qps).unwrap_or(0.0)
+        })
+        .sum();
+    qps * spec.windows as f64
 }
 
 /// Everything an experiment module needs: the configuration plus the
@@ -685,10 +424,13 @@ impl Default for ExpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::build_sim;
+    use crate::strategy::StrategyKind;
     use ahq_core::check;
     use ahq_core::rng::Rng;
-    use ahq_core::{stable_hash128, RelativeImportance};
-    use ahq_sim::RegionAlloc;
+    use ahq_core::{stable_hash128, EntropyModel, RelativeImportance};
+    use ahq_sched::{run_with_hook, ArqConfig};
+    use ahq_sim::{MachineConfig, Partition, RegionAlloc, SharingPolicy};
     use ahq_workloads::mixes;
 
     fn tiny_spec(seed: u64, strategy: StrategyKind) -> RunSpec {
@@ -827,6 +569,37 @@ mod tests {
         cell
     }
 
+    /// The reference a spec's executor is checked against, independent of
+    /// it: the node built by hand, then `run_with_hook` applying the load
+    /// schedule before each window.
+    fn reference_run(spec: &RunSpec) -> (RunResult, SimPerfStats) {
+        let loads: Vec<(&str, f64)> = spec.loads.iter().map(|(n, l)| (n.as_str(), *l)).collect();
+        let mut sim = build_sim(spec.machine, &spec.mix, &loads, spec.seed);
+        if let Some(ms) = spec.window_ms {
+            sim.set_window_ms(ms);
+        }
+        for (name, ms) in &spec.cold {
+            sim.begin_warmup(name, *ms).unwrap();
+        }
+        let mut sched = spec.sched.build();
+        let schedule = &spec.schedule;
+        let mut cursor = 0usize;
+        let result = run_with_hook(
+            &mut sim,
+            sched.as_mut(),
+            spec.windows,
+            &spec.model,
+            |sim, w| {
+                while cursor < schedule.len() && schedule[cursor].0 <= w {
+                    let (_, name, fraction) = &schedule[cursor];
+                    let _ = sim.set_load(name, *fraction);
+                    cursor += 1;
+                }
+            },
+        );
+        (result, sim.perf_stats())
+    }
+
     fn assert_equal_runs(got: &RunResult, alone: &RunResult) {
         assert_eq!(
             format!("{got:?}"),
@@ -840,11 +613,16 @@ mod tests {
     fn lockstep_members_equal_their_standalone_runs() {
         let cell = mixed_cell(13);
         assert!(cell.iter().all(|s| s.same_arrivals(&cell[0])));
+        // The whole cell, then each member as a group of one.
         let members: Vec<&RunSpec> = cell.iter().collect();
-        for (spec, (result, stats)) in cell.iter().zip(execute_lockstep(&members)) {
-            let (alone, alone_stats) = spec.execute_with_stats();
+        let grouped = execute_lockstep(&members);
+        for (spec, (result, stats)) in cell.iter().zip(grouped) {
+            let (alone, alone_stats) = reference_run(spec);
             assert_equal_runs(&result, &alone);
             assert_eq!(stats, alone_stats, "{}", alone.strategy);
+            let (single, single_stats) = spec.execute_with_stats();
+            assert_equal_runs(&single, &alone);
+            assert_eq!(single_stats, alone_stats, "{}", alone.strategy);
         }
     }
 
@@ -856,8 +634,7 @@ mod tests {
         batch.extend(mixed_cell(14).into_iter().take(3));
         batch.push(tiny_spec(15, StrategyKind::Arq));
         for batch in [batch, mixed_cell(16)] {
-            let alone: Vec<(RunResult, SimPerfStats)> =
-                batch.iter().map(RunSpec::execute_with_stats).collect();
+            let alone: Vec<(RunResult, SimPerfStats)> = batch.iter().map(reference_run).collect();
             let total = alone
                 .iter()
                 .fold(SimPerfStats::default(), |t, (_, s)| SimPerfStats {

@@ -1,70 +1,8 @@
-//! Shared run machinery: building simulations from mixes, steady-state
-//! windows, and the experiment configuration.
+//! Shared run machinery: building simulations from mixes and the
+//! experiment configuration. Both live in `ahq-sched` beside
+//! [`RunSpec`](crate::exec::RunSpec) and are re-exported here.
 
-use ahq_core::EntropyModel;
-use ahq_sim::{MachineConfig, NodeSim};
-use ahq_workloads::mixes::Mix;
-
-/// Experiment-wide configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpConfig {
-    /// Shorter runs and coarser sweeps (CI-friendly).
-    pub quick: bool,
-    /// Base RNG seed; every run derives a per-configuration seed from it.
-    pub seed: u64,
-}
-
-impl Default for ExpConfig {
-    fn default() -> Self {
-        ExpConfig {
-            quick: false,
-            seed: 42,
-        }
-    }
-}
-
-impl ExpConfig {
-    /// Monitoring windows per run (500 ms each).
-    pub fn windows(&self) -> usize {
-        if self.quick {
-            90
-        } else {
-            240
-        }
-    }
-
-    /// Steady-state windows used for reported averages.
-    pub fn steady(&self) -> usize {
-        if self.quick {
-            30
-        } else {
-            80
-        }
-    }
-
-    /// The entropy model every experiment scores with (paper settings:
-    /// `RI = 0.8`, 5 % elasticity).
-    pub fn model(&self) -> EntropyModel {
-        EntropyModel::default()
-    }
-}
-
-/// Builds a simulation of `mix` on `machine` (normalised against the full
-/// paper machine) with the given per-LC-app loads.
-///
-/// # Panics
-///
-/// Panics on invalid mixes/loads — experiment inputs are static and a
-/// mistake is a bug, not a runtime condition.
-pub fn build_sim(machine: MachineConfig, mix: &Mix, loads: &[(&str, f64)], seed: u64) -> NodeSim {
-    let mut sim =
-        NodeSim::with_reference(machine, MachineConfig::paper_xeon(), mix.apps.clone(), seed)
-            .expect("experiment mixes are valid");
-    for (name, load) in loads {
-        sim.set_load(name, *load).expect("load targets an LC app");
-    }
-    sim
-}
+pub use ahq_sched::{build_sim, ExpConfig};
 
 #[cfg(test)]
 mod tests {
@@ -72,6 +10,7 @@ mod tests {
     use crate::exec::{ExpContext, RunSpec};
     use crate::strategy::StrategyKind;
     use ahq_core::derive_seed;
+    use ahq_sim::MachineConfig;
     use ahq_workloads::mixes;
 
     #[test]

@@ -27,6 +27,14 @@
 //! feeds observations to a scheduler, applies its decisions, and scores
 //! every window with the system entropy from `ahq-core`.
 //!
+//! A whole run is described by a closed, comparable [`RunSpec`]: machine,
+//! mix, loads, scheduler ([`SchedSpec`]), windows, seed, entropy model,
+//! load schedule and cold starts. [`execute_lockstep`] is its one
+//! executor: specs that draw the same request stream step through each
+//! window on one set of arrival draws, and a lone spec
+//! ([`RunSpec::execute`]) is a group of one. Experiment grids and cluster
+//! node jobs both run through it.
+//!
 //! ```
 //! use ahq_sched::{run, Arq, Scheduler};
 //! use ahq_core::EntropyModel;
@@ -57,6 +65,8 @@ pub mod observe;
 mod parties;
 pub mod rollback;
 pub mod runner;
+mod spec;
+mod strategy;
 mod unmanaged;
 
 pub use arq::{Arq, ArqConfig};
@@ -66,6 +76,10 @@ pub use lcfirst::LcFirst;
 pub use parties::Parties;
 pub use rollback::{Blacklist, SpeculativeMove};
 pub use runner::{run, run_with_hook, RunResult, ScheduledRun};
+pub use spec::{
+    build_sim, execute_lockstep, ExpConfig, RunKey, RunSpec, SchedSpec, StaticPartition,
+};
+pub use strategy::StrategyKind;
 pub use unmanaged::Unmanaged;
 
 use ahq_core::EntropyReport;

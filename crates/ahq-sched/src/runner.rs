@@ -4,8 +4,8 @@
 //! The loop is available in two shapes: the batch helpers [`run`] /
 //! [`run_with_hook`] that drive a whole run to completion, and the
 //! incremental [`ScheduledRun`] that advances one window per [`ScheduledRun::step`]
-//! call — the form the cluster layer uses to keep many nodes on a shared
-//! window clock. Both produce byte-identical [`RunResult`]s for the same
+//! call — the form [`crate::execute_lockstep`] uses to keep the runs of a
+//! group on one window clock. Both produce byte-identical [`RunResult`]s for the same
 //! inputs: the batch helpers are thin wrappers over the stepper.
 
 use ahq_core::json::{FromJson, JsonError, JsonValue, ToJson};

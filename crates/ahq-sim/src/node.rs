@@ -941,6 +941,14 @@ impl NodeSim {
         &self.arrivals
     }
 
+    /// The arrivals the node's last [`NodeSim::run_window`] drew, for
+    /// other nodes on the same request stream to replay through
+    /// [`NodeSim::run_window_from`]. A window replayed from a shared chunk
+    /// leaves it untouched.
+    pub fn last_chunk(&self) -> &ArrivalChunk {
+        &self.chunk
+    }
+
     /// The monitoring-window length.
     pub fn window_length(&self) -> SimTime {
         self.window

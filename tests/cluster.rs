@@ -60,7 +60,7 @@ fn engine_runner_is_equivalent_to_the_sequential_reference() {
             sim.run(runner)
         };
         let engine_side = run(&EngineRunner::new(cfg.engine()));
-        let reference = run(&SequentialRunner::default());
+        let reference = run(&SequentialRunner);
         assert!(
             engine_side.cold_starts > 0,
             "the controller must charge cold starts ({arq:?})"

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use ahq_core::{derive_seed, EntropyModel};
 use ahq_sched::{observe, ArqConfig, RunResult, RunSpec, SchedSpec, StrategyKind};
 use ahq_sim::{
-    percentile, AppKind, AppSpec, MachineConfig, SimPerfStats, SteadyCalibration, Surrogate,
+    percentile_in_place, AppKind, AppSpec, MachineConfig, SimPerfStats, SteadyCalibration,
+    Surrogate,
 };
 use ahq_workloads::mixes::Mix;
 
@@ -853,7 +854,8 @@ impl ClusterSim {
             }
             let mean_es = es_scratch.iter().sum::<f64>() / es_scratch.len() as f64;
             let max_es = es_scratch.iter().cloned().fold(0.0, f64::max);
-            let p95_es = percentile(&es_scratch, 0.95).expect("fleet is non-empty");
+            // Reorders the buffer, which is refilled next window.
+            let p95_es = percentile_in_place(&mut es_scratch, 0.95).expect("fleet is non-empty");
             self.violations += violations;
             self.window_stats.push(ClusterWindowStat {
                 window: self.round * windows + w,

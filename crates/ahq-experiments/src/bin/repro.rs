@@ -80,6 +80,10 @@ struct TimingsReport {
     cache_hits: u64,
     cache_misses: u64,
     cache_hit_rate: f64,
+    /// Results held by the in-process run memo at the end.
+    memo_entries: usize,
+    /// Bytes of packed results in the run memo at the end.
+    memo_bytes: usize,
     /// Discrete simulator events processed across every executed run.
     simulated_events: u64,
     /// `simulated_events / total_seconds` — the throughput headline.
@@ -107,6 +111,8 @@ impl ToJson for TimingsReport {
             ("cache_hits", self.cache_hits.to_json()),
             ("cache_misses", self.cache_misses.to_json()),
             ("cache_hit_rate", self.cache_hit_rate.to_json()),
+            ("memo_entries", self.memo_entries.to_json()),
+            ("memo_bytes", self.memo_bytes.to_json()),
             ("simulated_events", self.simulated_events.to_json()),
             ("events_per_second", self.events_per_second.to_json()),
             ("rate_cache_hits", self.rate_cache_hits.to_json()),
@@ -350,6 +356,8 @@ fn main() -> ExitCode {
             cache_hits: stats.hits,
             cache_misses: stats.misses,
             cache_hit_rate: stats.hit_rate(),
+            memo_entries: cfg.engine().memo_entries(),
+            memo_bytes: cfg.engine().memo_bytes(),
             simulated_events: sim.events,
             events_per_second: sim.events as f64 / total.as_secs_f64().max(1e-9),
             rate_cache_hits: sim.rate_hits,

@@ -10,6 +10,8 @@
 //! values and results come back in submission order, so
 //! `repro cluster --jobs N` is byte-identical for any `N`.
 
+use std::sync::Arc;
+
 use ahq_cluster::{
     run_cluster, static_placers, ChurnConfig, ClusterConfig, ClusterEntropyReport, FidelityMode,
     JobFidelity, LocalSched, NodeBatchRunner, NodeJob, PlacerKind,
@@ -66,8 +68,10 @@ impl NodeBatchRunner for EngineRunner<'_> {
                 results[i] = Some(job.execute());
             }
         }
+        // A result is copied only while an in-batch duplicate still
+        // shares it; the last holder takes it out of its `Arc`.
         for (i, result) in hifi.into_iter().zip(self.engine.run_all(&specs)) {
-            results[i] = Some((*result).clone());
+            results[i] = Some(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()));
         }
         results
             .into_iter()

@@ -27,6 +27,18 @@
 //! debug builds assert that one digest never names two texts. The disk
 //! tier verifies the full text inside each shard. Hits and misses are
 //! counted per engine and reported by the `repro` binary.
+//!
+//! # What the memo holds
+//!
+//! Each memoized result is kept packed: an exact byte encoding (`f64`s
+//! as their bits, integers as LEB128, names once per result) in one
+//! exact-size allocation, written on the worker that ran the spec. A hit
+//! decodes a fresh [`RunResult`]; in-batch duplicates still share their
+//! owner's `Arc`. A live result is twenty-odd heap blocks and 1.5–2.8 KB,
+//! its packing 250–620 B, and most node jobs are never hit again, so the
+//! memo is most of a cluster run's resident memory. Debug builds decode
+//! every packing on insert and assert it renders the result's `Debug`
+//! text.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -38,6 +50,7 @@ use ahq_sched::{execute_lockstep, RunResult};
 pub use ahq_sched::{RunKey, RunSpec, SchedSpec, StaticPartition};
 use ahq_sim::{AppSpec, SimPerfStats};
 
+use crate::packed;
 use crate::runs::ExpConfig;
 
 /// Locks `mutex`, ignoring poisoning. Every critical section is a single
@@ -77,7 +90,8 @@ impl CacheStats {
 /// through after every execution so results survive the process.
 pub struct Engine {
     jobs: usize,
-    cache: Mutex<HashMap<u128, Arc<RunResult>>>,
+    // Packed results (see the module docs), by spec digest.
+    cache: Mutex<HashMap<u128, Box<[u8]>>>,
     // Debug builds: the key text behind each digest, to catch a collision.
     #[cfg(debug_assertions)]
     key_texts: Mutex<HashMap<u128, RunKey>>,
@@ -145,6 +159,18 @@ impl Engine {
         }
     }
 
+    /// Results held by the in-process memo.
+    pub fn memo_entries(&self) -> usize {
+        lock(&self.cache).len()
+    }
+
+    /// Bytes of packed results held by the in-process memo (the encoded
+    /// results only, not the map's own table). Deterministic for a given
+    /// set of submissions, whatever the worker count.
+    pub fn memo_bytes(&self) -> usize {
+        lock(&self.cache).values().map(|entry| entry.len()).sum()
+    }
+
     /// Aggregated simulator work counters across every run this engine
     /// actually executed: discrete events processed and fluid-rate-cache
     /// hits/misses inside the simulators.
@@ -199,8 +225,8 @@ impl Engine {
                     let seen = texts.entry(digest).or_insert_with(|| key.clone());
                     assert_eq!(*seen, key, "two specs share the digest {digest:032x}");
                 }
-                if let Some(cached) = cache.get(&digest) {
-                    results[i] = Some(Arc::clone(cached));
+                if let Some(entry) = cache.get(&digest) {
+                    results[i] = Some(Arc::new(packed::unpack(entry)));
                     self.hits.fetch_add(1, Ordering::Relaxed);
                 } else if let Some(&slot) = owner_of.get(&digest) {
                     followers.push((i, slot));
@@ -215,16 +241,18 @@ impl Engine {
         // Tier 2: probe the disk store for each tier-1 miss (no lock
         // held — this is I/O). A disk hit fills its slot up front and
         // counts as a cache hit; only true misses execute. Only here is
-        // the key text rendered, once per miss.
-        let slots: Vec<Mutex<Option<RunResult>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
+        // the key text rendered, once per miss. Each slot receives the
+        // result and its memo packing.
+        let slots: Vec<Mutex<Option<Slot>>> = pending.iter().map(|_| Mutex::new(None)).collect();
         let mut to_run: Vec<usize> = Vec::with_capacity(pending.len());
         let mut disk_keys: Vec<RunKey> = Vec::new();
         if let Some(disk) = &self.disk {
             disk_keys = pending.iter().map(|&i| specs[i].key()).collect();
+            let mut scratch = Vec::new();
             for (slot, key) in disk_keys.iter().enumerate() {
                 if let Some(result) = disk.load(key) {
-                    *lock(&slots[slot]) = Some(result);
+                    let entry = memo_entry(&result, &mut scratch);
+                    *lock(&slots[slot]) = Some((result, entry));
                     self.hits.fetch_add(1, Ordering::Relaxed);
                 } else {
                     to_run.push(slot);
@@ -238,23 +266,27 @@ impl Engine {
         }
 
         let units = self.plan_units(specs, &pending, &to_run);
-        let run_unit = |unit: &[usize]| {
+        // Each worker packs what it ran, staging through its own scratch.
+        let run_unit = |unit: &[usize], scratch: &mut Vec<u8>| {
             let members: Vec<&RunSpec> = unit.iter().map(|&slot| &specs[pending[slot]]).collect();
             for (&slot, (result, sim_stats)) in unit.iter().zip(execute_lockstep(&members)) {
                 self.record_sim_stats(sim_stats);
-                *lock(&slots[slot]) = Some(result);
+                let entry = memo_entry(&result, scratch);
+                *lock(&slots[slot]) = Some((result, entry));
             }
         };
         let workers = self.jobs.min(units.len());
         if workers <= 1 {
-            units.iter().for_each(|unit| run_unit(unit));
+            let mut scratch = Vec::new();
+            units.iter().for_each(|unit| run_unit(unit, &mut scratch));
         } else {
             let next = AtomicUsize::new(0);
             thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
+                        let mut scratch = Vec::new();
                         while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            run_unit(unit);
+                            run_unit(unit, &mut scratch);
                         }
                     });
                 }
@@ -265,7 +297,7 @@ impl Engine {
         // already on disk) before sealing tier 1.
         if let Some(disk) = &self.disk {
             for &slot in &to_run {
-                if let Some(result) = lock(&slots[slot]).as_ref() {
+                if let Some((result, _)) = lock(&slots[slot]).as_ref() {
                     disk.store(&disk_keys[slot], result);
                 }
             }
@@ -274,13 +306,12 @@ impl Engine {
         {
             let mut cache = lock(&self.cache);
             for (slot, cell) in slots.into_iter().enumerate() {
-                let result = Arc::new(
-                    cell.into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .expect("worker filled the slot"),
-                );
-                cache.insert(digests[pending[slot]], Arc::clone(&result));
-                results[pending[slot]] = Some(result);
+                let (result, entry) = cell
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("worker filled the slot");
+                cache.insert(digests[pending[slot]], entry);
+                results[pending[slot]] = Some(Arc::new(result));
             }
         }
         for (i, slot) in followers {
@@ -348,6 +379,21 @@ impl Engine {
         weighted.sort_by(|(wa, a), (wb, b)| wb.total_cmp(wa).then(a[0].cmp(&b[0])));
         weighted.into_iter().map(|(_, unit)| unit).collect()
     }
+}
+
+/// A pending spec's result and its memo entry (its packing).
+type Slot = (RunResult, Box<[u8]>);
+
+/// `result`'s memo entry, packed through `scratch`. Debug builds check
+/// that the packing decodes to the same `Debug` text.
+fn memo_entry(result: &RunResult, scratch: &mut Vec<u8>) -> Box<[u8]> {
+    let entry = packed::pack(result, scratch);
+    debug_assert_eq!(
+        format!("{:?}", packed::unpack(&entry)),
+        format!("{result:?}"),
+        "the memo packing must round-trip"
+    );
+    entry
 }
 
 /// A deterministic cost estimate of `spec` for dispatch order: the
@@ -473,9 +519,79 @@ mod tests {
         let spec = tiny_spec(9, StrategyKind::Unmanaged);
         let first = engine.run_one(&spec);
         let second = engine.run_one(&spec);
-        assert!(Arc::ptr_eq(&first, &second));
+        // A memo hit decodes a fresh copy of the first result.
+        assert_equal_runs(&second, &first);
         assert_eq!(engine.stats(), CacheStats { hits: 1, misses: 1 });
         assert!((engine.stats().hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(engine.memo_entries(), 1);
+        assert!(engine.memo_bytes() > 0);
+    }
+
+    /// A batch of every kind of job the memo holds: a strategy grid cell
+    /// and HI-FI cluster node jobs (ARQ with a cold start, a lone LC app,
+    /// and a BE-only node, which ARQ does not manage).
+    fn mixed_batch() -> Vec<RunSpec> {
+        use ahq_cluster::{JobFidelity, LocalSched, NodeJob};
+        use ahq_workloads::profiles as apps;
+        let node = |node: usize, sched, apps: Vec<ahq_sim::AppSpec>, cold: Vec<String>| {
+            let loads = apps
+                .iter()
+                .filter(|a| a.max_load_qps().is_some())
+                .map(|a| (a.name().to_owned(), 0.4))
+                .collect();
+            NodeJob {
+                node,
+                machine: MachineConfig::paper_xeon(),
+                apps: Arc::new(apps),
+                loads,
+                cold,
+                sched,
+                arq: None,
+                model: EntropyModel::default(),
+                windows: 3,
+                seed: 70 + node as u64,
+                fidelity: JobFidelity::HiFi,
+            }
+            .spec()
+        };
+        let mut batch = mixed_cell(17);
+        batch.push(node(
+            0,
+            LocalSched::Arq,
+            vec![apps::xapian(), apps::moses(), apps::stream()],
+            vec!["moses".into()],
+        ));
+        batch.push(node(1, LocalSched::Arq, vec![apps::img_dnn()], Vec::new()));
+        batch.push(node(
+            2,
+            LocalSched::Unmanaged,
+            vec![apps::stream(), apps::fluidanimate()],
+            Vec::new(),
+        ));
+        batch
+    }
+
+    #[test]
+    fn memo_hits_equal_direct_execution() {
+        let batch = mixed_batch();
+        let direct: Vec<RunResult> = batch.iter().map(RunSpec::execute).collect();
+        for jobs in [1, 2] {
+            let engine = Engine::new(jobs);
+            let cold = engine.run_all(&batch);
+            let warm = engine.run_all(&batch);
+            assert_eq!(
+                engine.stats(),
+                CacheStats {
+                    hits: batch.len() as u64,
+                    misses: batch.len() as u64
+                }
+            );
+            assert_eq!(engine.memo_entries(), batch.len());
+            for ((cold, warm), direct) in cold.iter().zip(&warm).zip(&direct) {
+                assert_equal_runs(cold, direct);
+                assert_equal_runs(warm, direct);
+            }
+        }
     }
 
     #[test]

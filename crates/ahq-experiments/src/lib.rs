@@ -59,6 +59,7 @@ pub mod fig9;
 pub mod gctrl;
 pub mod headline;
 pub mod membw;
+mod packed;
 pub mod report;
 pub mod runs;
 pub mod strategy;
